@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Protocol
 
-from scipy import integrate
-
 from ..airframe.platform import PlatformSpec
 
 __all__ = [
@@ -73,6 +71,8 @@ class NonStationaryFailure:
 
     def survival_probability(self, travelled_m: float) -> float:
         """Numerically integrated survival probability."""
+        from scipy import integrate  # lazy: keeps SciPy off `import repro`
+
         d = _check_distance(travelled_m)
         if d <= 0.0:
             return 1.0

@@ -1,22 +1,166 @@
 """Solving Eq. 2: ``dopt = argmax U(d)``, ``d_min <= d <= d0``.
 
 The paper notes ``U`` is approximately concave for small rho but not in
-general, so a pure local method is unsafe.  The optimiser therefore
-runs a dense grid scan to bracket the global maximum and then refines
-the bracket with SciPy's bounded scalar minimiser.
+general, so a pure local method is unsafe.  :func:`argmax_utility` is
+the one Eq. 2 kernel: a dense grid scan brackets each row's global
+maximum, a vectorised ternary search refines the bracket, and rows
+whose bracket turns out non-unimodal are rescanned on a finer sub-grid.
+Every step depends on the row alone, so a row's answer never depends
+on which other rows share its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .utility import DelayedGratificationUtility, UtilityBreakdown
 
-__all__ = ["OptimalDecision", "DistanceOptimizer"]
+__all__ = ["OptimalDecision", "DistanceOptimizer", "argmax_utility"]
+
+#: Hard ceiling on grid columns per row, so one huge-span scenario
+#: cannot blow up a batch's memory.
+_MAX_GRID_POINTS = 4096
+
+#: Sub-grid points used to rescan a non-unimodal bracket.
+_RESCAN_POINTS = 65
+
+#: Grid cells (rows x columns) evaluated per pass of the bracketing scan.
+_SCAN_CELLS = 1 << 17
+
+#: Relative utility slack for snapping to a boundary: the flat regions
+#: near d0 otherwise leave the solution a hair inside the range,
+#: muddying the 'transmit immediately' case with model-noise-level gains.
+_SNAP_REL = 1e-4
+
+_Utility = Callable[[np.ndarray], np.ndarray]
+
+
+def _points(
+    lo: np.ndarray, width: np.ndarray, n: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """Point ``j`` of the grid ``np.linspace(lo, lo + width, n)``, bit
+    for bit; ``j >= n - 1`` gives the last point.  Arguments broadcast."""
+    last = n - 1
+    t = np.where(j >= last, 1.0, j * (1.0 / last))
+    return lo + t * width
+
+
+def _scan(
+    utility: _Utility, lo: np.ndarray, width: np.ndarray, n: np.ndarray
+) -> "tuple[np.ndarray, ...]":
+    """``(k, d, U, bracket_lo, bracket_hi)`` for the first argmax ``k``
+    of each row's ``n``-point grid over ``[lo, lo + width]``.
+
+    Columns are evaluated in blocks of about ``_SCAN_CELLS`` cells, so
+    the working set stays bounded whatever the spans.
+    """
+    rows = np.arange(len(n))
+    k = np.zeros(len(n), dtype=np.int64)
+    best_u = np.full(len(n), -np.inf)
+    columns = int(n.max(initial=0))
+    block = max(1, _SCAN_CELLS // max(1, len(n)))
+    for start in range(0, columns, block):
+        j = np.arange(start, min(start + block, columns))
+        values = utility(_points(lo[:, None], width[:, None], n[:, None], j))
+        block_k = np.argmax(values, axis=1)
+        block_u = values[rows, block_k]
+        better = block_u > best_u  # strict: the first maximum wins
+        k = np.where(better, start + block_k, k)
+        best_u = np.where(better, block_u, best_u)
+    return (
+        k,
+        _points(lo, width, n, k),
+        best_u,
+        _points(lo, width, n, np.maximum(k - 1, 0)),
+        _points(lo, width, n, np.minimum(k + 1, n - 1)),
+    )
+
+
+def _refine(
+    utility: _Utility, lo: np.ndarray, hi: np.ndarray, active: np.ndarray, tol: float
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Shrink every active bracket at once by comparing two interior
+    probes; returns the bracket midpoints and their utilities."""
+    active = active & (hi - lo > tol)
+    # Width shrinks by 1/3 per pass; the cap only guards against a
+    # tolerance below floating-point resolution of the bracket.
+    for _ in range(200):
+        if not active.any():
+            break
+        width = hi - lo
+        m1 = lo + width / 3.0
+        m2 = hi - width / 3.0
+        go_right = utility(m1) < utility(m2)
+        lo = np.where(active & go_right, m1, lo)
+        hi = np.where(active & ~go_right, m2, hi)
+        active = active & (hi - lo > tol)
+    refined = 0.5 * (lo + hi)
+    return refined, utility(refined)
+
+
+def argmax_utility(
+    d_min: np.ndarray,
+    d0: np.ndarray,
+    utility: _Utility,
+    grid_step_m: float,
+    tolerance_m: float,
+) -> np.ndarray:
+    """Each row's ``argmax U(d)`` over ``[d_min[i], d0[i]]`` (Eq. 2).
+
+    ``utility`` evaluates ``U`` elementwise on row-aligned distances of
+    shape (N,) or (N, G).  Row ``i`` scans its own grid of
+    ``min(4096, max(3, ceil(span/step) + 1))`` points, so its answer is
+    bit-identical whatever rows share the call.
+    """
+    span = d0 - d_min
+    n = np.minimum(
+        _MAX_GRID_POINTS, np.maximum(3, np.ceil(span / grid_step_m) + 1)
+    ).astype(np.int64)
+    k, grid_best_d, grid_best_u, lo, hi = _scan(utility, d_min, span, n)
+
+    # Degenerate range: the whole feasible interval is narrower than
+    # the refinement tolerance — pin d_min.
+    degenerate = span <= tolerance_m
+    refined, refined_u = _refine(utility, lo, hi, ~degenerate, tolerance_m)
+    # The refinement must never lose to the grid candidate.
+    improved = (~degenerate) & (refined_u >= grid_best_u)
+    best = np.where(
+        improved, refined, np.where(degenerate, d_min, grid_best_d)
+    )
+
+    # Non-concave rows: an *interior* bracket whose refinement lost to
+    # its own grid point hides several peaks.  Rescan it on a fixed
+    # sub-grid and refine around the sub-grid argmax.  Boundary-argmax
+    # rows are excluded: there a monotone curve legitimately converges
+    # just inside the bracket and the grid endpoint stays the answer.
+    suspect = (
+        (~degenerate)
+        & (k > 0)
+        & (k < n - 1)
+        & (refined_u < grid_best_u * (1.0 - 1e-9))
+    )
+    if suspect.any():
+        _, sub_d, sub_u, sub_lo, sub_hi = _scan(
+            utility, lo, hi - lo, np.full(len(n), _RESCAN_POINTS)
+        )
+        rescan, rescan_u = _refine(utility, sub_lo, sub_hi, suspect, tolerance_m)
+        # Keep the best point evaluated: grid, sub-grid or refinement.
+        pick = np.where(sub_u > grid_best_u, sub_d, grid_best_d)
+        pick = np.where(rescan_u >= np.maximum(sub_u, grid_best_u), rescan, pick)
+        best = np.where(suspect, pick, best)
+
+    # Boundary snapping (d0 wins ties).
+    best_u = utility(best)
+    u_floor = utility(d_min)
+    u_ceil = utility(d0)
+    snap_floor = (~degenerate) & (u_floor >= best_u * (1.0 - _SNAP_REL))
+    best = np.where(snap_floor, d_min, best)
+    best_u = np.where(snap_floor, u_floor, best_u)
+    snap_ceil = (~degenerate) & (u_ceil >= best_u * (1.0 - _SNAP_REL))
+    return np.where(snap_ceil, d0, best)
 
 
 @dataclass(frozen=True)
@@ -65,7 +209,8 @@ class OptimalDecision:
 
 
 class DistanceOptimizer:
-    """Grid-bracketed, SciPy-refined maximiser of the utility."""
+    """One-instance Eq. 2 solver: :func:`argmax_utility` at N=1 over any
+    :class:`DelayedGratificationUtility`, evaluated elementwise."""
 
     def __init__(
         self,
@@ -121,44 +266,16 @@ class DistanceOptimizer:
                 f"contact distance {contact_distance_m} below the floor {d_min}"
             )
 
-        def u(d: float) -> float:
-            return self.utility_model.utility(
-                d, contact_distance_m, speed_mps, data_bits
-            )
-
-        span = contact_distance_m - d_min
-        if span <= self.refine_tolerance_m:
-            best = d_min
-        else:
-            n = max(3, int(span / self.grid_step_m) + 1)
-            grid = np.linspace(d_min, contact_distance_m, n)
-            values = np.array([u(float(d)) for d in grid])
-            k = int(np.argmax(values))
-            lo = grid[max(0, k - 1)]
-            hi = grid[min(n - 1, k + 1)]
-            if hi - lo <= self.refine_tolerance_m:
-                best = float(grid[k])
-            else:
-                res = sciopt.minimize_scalar(
-                    lambda d: -u(float(d)),
-                    bounds=(float(lo), float(hi)),
-                    method="bounded",
-                    options={"xatol": self.refine_tolerance_m},
-                )
-                best = float(res.x)
-                # The refinement must never lose to the grid candidate.
-                if u(best) < values[k]:
-                    best = float(grid[k])
-            # Snap to a boundary when it is essentially as good (within
-            # 0.01% of utility): the flat regions near d0 otherwise
-            # leave the solution a hair inside the range, muddying the
-            # 'transmit immediately' case with model-noise-level gains.
-            u_best = u(best)
-            for boundary in (d_min, contact_distance_m):
-                if u(boundary) >= u_best * (1.0 - 1e-4):
-                    best = boundary
-                    u_best = u(boundary)
-
+        u = np.vectorize(
+            lambda d: self.utility_model.utility(
+                float(d), contact_distance_m, speed_mps, data_bits
+            ),
+            otypes=[float],
+        )
+        best = float(argmax_utility(
+            np.array([float(d_min)]), np.array([float(contact_distance_m)]),
+            u, self.grid_step_m, self.refine_tolerance_m,
+        )[0])
         detail: UtilityBreakdown = self.utility_model.breakdown(
             best, contact_distance_m, speed_mps, data_bits
         )

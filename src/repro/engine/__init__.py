@@ -1,9 +1,9 @@
 """repro.engine — fleet-scale batch solving of the paper's Eq. 2.
 
-The scalar :class:`~repro.core.optimizer.DistanceOptimizer` stays the
-reference implementation; this package adds the production path:
-vectorised N-scenario solving, LRU memoisation, and chunked
-thread-pool fan-out.  See :class:`BatchSolverEngine`.
+It runs the Eq. 2 kernel :func:`~repro.core.optimizer.argmax_utility`
+(shared with :class:`~repro.core.optimizer.DistanceOptimizer`) over
+N-scenario batches, with LRU memoisation and chunked thread-pool
+fan-out.  See :class:`BatchSolverEngine`.
 """
 
 from .batch import BatchResult, BatchSolverEngine, default_engine

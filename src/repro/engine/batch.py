@@ -1,42 +1,39 @@
 """Vectorised fleet-scale solver for Eq. 2 (``dopt = argmax U(d)``).
 
-:class:`~repro.core.optimizer.DistanceOptimizer` solves one instance
-at a time with a Python-loop grid scan plus a SciPy refinement — fine
-for a single decision, hopeless for the fleet-scale workloads the
-related work frames (thousands of ``(Mdata, v, rho, d0)`` instances
-per request stream).  This engine solves N scenarios in one NumPy
-pass:
+The fleet-scale workloads the related work frames (thousands of
+``(Mdata, v, rho, d0)`` instances per request stream) are solved N
+scenarios per NumPy pass, through the one Eq. 2 kernel
+:func:`~repro.core.optimizer.argmax_utility`:
 
 1. **Stacked grid scan** — scenarios become parameter arrays; the
    utility ``U(d) = exp(-rho (d0 - d)) / ((d0 - d)/v + Mdata/s(d))``
-   is evaluated on an ``N x G`` matrix of distances sharing one
-   normalised grid, bracketing each instance's argmax.
-2. **Vectorised bisection** — every bracket is shrunk simultaneously
-   by comparing interior utility probes (no per-instance SciPy call in
-   the hot path).
-3. **SciPy fallback** — instances whose refinement loses to their grid
-   candidate (the non-concave edge cases the paper warns about) are
-   re-solved with the scalar optimiser.
+   is evaluated on an ``N x G`` matrix of distances, each row on its
+   own span-sized grid, bracketing each instance's argmax.
+2. **Vectorised ternary search** — every bracket is shrunk
+   simultaneously by comparing interior utility probes.
+3. **Non-concave rows** — instances whose refinement loses to their
+   grid candidate (the edge cases the paper warns about) get one
+   vectorised rescan of their bracket on a finer sub-grid; there is no
+   scalar fallback.
 4. **Memoisation** — solved instances are cached by their full
    parameter tuple in an LRU, so planners re-solving the same geometry
    and repeated sweeps cost one hash lookup.
 5. **Chunked fan-out** — very large batches are split into chunks
    solved on the persistent :mod:`repro.exec` thread pool (NumPy
-   releases the GIL for the heavy array ops).  ``chunk_size`` is part
-   of the numeric contract — each chunk's grid resolution derives from
-   its own span — so fan-out never re-chunks adaptively.
+   releases the GIL for the heavy array ops).  Every kernel step is
+   row-local, so ``chunk_size`` is scheduling only: ``solve_batch(xs)[i]``
+   is bit-identical to ``solve(xs[i])`` under any chunking and order.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.optimizer import DistanceOptimizer, OptimalDecision
+from ..core.optimizer import OptimalDecision, argmax_utility
 from ..core.throughput import (
     LogFitThroughput,
     MIN_THROUGHPUT_BPS,
@@ -49,15 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..obs import ObsContext
 
 __all__ = ["BatchResult", "BatchSolverEngine", "default_engine"]
-
-#: Hard ceiling on grid columns so one huge-span scenario cannot blow
-#: up the whole chunk's memory.
-_MAX_GRID_POINTS = 4096
-
-#: Relative utility slack for snapping to a boundary — identical to the
-#: scalar optimiser's rule so both solvers classify the flat-near-d0
-#: cases the same way.
-_SNAP_REL = 1e-4
 
 #: Fixed bucket edges for the batch-size histogram; registration-time
 #: constants so shard merges stay deterministic (see repro.obs.metrics).
@@ -375,23 +363,6 @@ class BatchSolverEngine:
             )
         return _Params(scenario_list).breakdown(d)
 
-    def grid_points(self, scenario: "Scenario") -> int:
-        """Grid columns a solo solve of this scenario scans.
-
-        The scan grid is span-normalised per row, so any batch whose
-        rows all share this count reproduces each row's solo grid
-        exactly — grouping scenarios by ``grid_points`` is what keeps
-        :class:`~repro.relay.batch.BatchRelaySolver` in bit-lockstep
-        with per-hop :meth:`solve` calls.
-        """
-        span = scenario.contact_distance_m - scenario.min_distance_m
-        return int(
-            min(
-                _MAX_GRID_POINTS,
-                max(3, math.ceil(span / self.grid_step_m) + 1),
-            )
-        )
-
     def sweep(
         self,
         scenario: "Scenario",
@@ -453,7 +424,7 @@ class BatchSolverEngine:
     def _solve_chunk(
         self, scenarios: Sequence["Scenario"]
     ) -> List[OptimalDecision]:
-        """Vectorised grid scan + bisection for one chunk of scenarios."""
+        """The Eq. 2 kernel over one chunk of scenarios."""
         for s in scenarios:
             if s.cruise_speed_mps <= 0:
                 raise ValueError("speed must be positive (Eq. 2 constraint)")
@@ -465,78 +436,16 @@ class BatchSolverEngine:
                     f"floor {s.min_distance_m}"
                 )
         params = _Params(scenarios)
-        tol = self.refine_tolerance_m
-        span = params.d0 - params.dmin
-        n_grid = int(
-            min(
-                _MAX_GRID_POINTS,
-                max(3, math.ceil(float(span.max(initial=0.0)) / self.grid_step_m) + 1),
-            )
+        best = argmax_utility(
+            params.dmin,
+            params.d0,
+            params.utility,
+            self.grid_step_m,
+            self.refine_tolerance_m,
         )
-        t = np.linspace(0.0, 1.0, n_grid)
-        grid = params.dmin[:, None] + t[None, :] * span[:, None]
-        values = params.utility(grid)
-        k = np.argmax(values, axis=1)
-        rows = np.arange(len(params))
-        grid_best_d = grid[rows, k]
-        grid_best_u = values[rows, k]
-        lo = grid[rows, np.maximum(k - 1, 0)]
-        hi = grid[rows, np.minimum(k + 1, n_grid - 1)]
-
-        # Degenerate range: the whole feasible interval is narrower than
-        # the refinement tolerance — the scalar solver pins d_min.
-        degenerate = span <= tol
-        best = np.where(degenerate, params.dmin, grid_best_d)
-
-        # Vectorised bracket bisection: shrink every active bracket at
-        # once by comparing two interior probes (safe for the unimodal
-        # brackets a dense grid scan produces).
-        active = (~degenerate) & (hi - lo > tol)
-        # Width shrinks by 1/3 per pass; the cap only guards against a
-        # tolerance below floating-point resolution of the bracket.
-        max_iterations = 200
-        while active.any() and max_iterations > 0:
-            max_iterations -= 1
-            width = hi - lo
-            m1 = lo + width / 3.0
-            m2 = hi - width / 3.0
-            u1 = params.utility(m1)
-            u2 = params.utility(m2)
-            go_right = u1 < u2
-            lo = np.where(active & go_right, m1, lo)
-            hi = np.where(active & ~go_right, m2, hi)
-            active = active & (hi - lo > tol)
-        refined = 0.5 * (lo + hi)
-        refined_u = params.utility(refined)
-        improved = (~degenerate) & (refined_u >= grid_best_u)
-        best = np.where(improved, refined, best)
-        best_u = params.utility(best)
-
-        # Non-concave edge cases: an *interior* bracket whose refinement
-        # lost utility against its own grid candidate hides multiple
-        # peaks — re-solve those instances with the scalar SciPy-refined
-        # optimiser.  Boundary-argmax rows are excluded: there a
-        # monotone curve legitimately converges just inside the bracket
-        # and the exact grid endpoint simply stays the answer.
-        interior = (k > 0) & (k < n_grid - 1)
-        suspect = (
-            (~degenerate)
-            & interior
-            & (refined_u < grid_best_u * (1.0 - 1e-9))
-        )
-
-        # Boundary snapping, identical to the scalar rule (d0 wins ties).
-        u_floor = params.utility(params.dmin.copy())
-        u_ceil = params.utility(params.d0.copy())
-        snap_floor = (~degenerate) & (u_floor >= best_u * (1.0 - _SNAP_REL))
-        best = np.where(snap_floor, params.dmin, best)
-        best_u = np.where(snap_floor, u_floor, best_u)
-        snap_ceil = (~degenerate) & (u_ceil >= best_u * (1.0 - _SNAP_REL))
-        best = np.where(snap_ceil, params.d0, best)
-
         utility, cdelay, shipping, transmission, discount = params.breakdown(best)
-        tolerance = max(tol, 1e-6)
-        decisions = [
+        tolerance = max(self.refine_tolerance_m, 1e-6)
+        return [
             OptimalDecision(
                 distance_m=float(best[i]),
                 utility=float(utility[i]),
@@ -551,22 +460,6 @@ class BatchSolverEngine:
             )
             for i in range(len(params))
         ]
-        for i in np.nonzero(suspect)[0]:
-            decisions[i] = self._scalar_solve(scenarios[i])
-        return decisions
-
-    def _scalar_solve(self, scenario: "Scenario") -> OptimalDecision:
-        """The scalar SciPy-refined path (non-concave fallback)."""
-        optimizer = DistanceOptimizer(
-            scenario.utility_model(),
-            grid_step_m=self.grid_step_m,
-            refine_tolerance_m=self.refine_tolerance_m,
-        )
-        return optimizer.optimize(
-            scenario.contact_distance_m,
-            scenario.cruise_speed_mps,
-            scenario.data_bits,
-        )
 
 
 _DEFAULT_ENGINE: Optional[BatchSolverEngine] = None

@@ -8,13 +8,10 @@ vectorised passes.
 
 Bit-lockstep is structural, not tuned-in:
 
-* hop scenarios are grouped by
-  :meth:`~repro.engine.batch.BatchSolverEngine.grid_points` before the
-  stacked :meth:`~repro.engine.batch.BatchSolverEngine.solve_batch`
-  calls — the engine's scan grid is span-normalised per row, so rows
-  sharing a grid-point count reproduce their solo grids exactly and
-  every per-row operation (bisection, snapping, the SciPy fallback) is
-  row-independent from there;
+* every hop of every chain goes through one stacked
+  :meth:`~repro.engine.batch.BatchSolverEngine.solve_batch` call —
+  the engine's Eq. 2 kernel is row-local (own grid, refinement and
+  snapping per row), so each hop's answer equals its solo solve;
 * boundary candidates come from the same elementwise
   :func:`~repro.relay.solver._hop_candidates` evaluation the scalar
   solver uses, and the DP itself is the shared
@@ -23,7 +20,7 @@ Bit-lockstep is structural, not tuned-in:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,7 +96,7 @@ class BatchRelaySolver:
         scenarios = [
             scn for chain in chain_list for scn in chain.scenarios()
         ]
-        decisions = self._solve_hops(scenarios)
+        decisions = self.engine.solve_batch(scenarios)
         rows = _hop_candidates(self.engine, scenarios, decisions)
         out: List[RelayDecision] = []
         offset = 0
@@ -107,20 +104,3 @@ class BatchRelaySolver:
             out.append(_assemble(chain, rows[offset:offset + chain.n_hops]))
             offset += chain.n_hops
         return BatchRelayResult(tuple(out))
-
-    def _solve_hops(self, scenarios: List) -> List:
-        """Engine decisions per hop, grouped for solo-grid lockstep."""
-        groups: Dict[int, List[int]] = {}
-        for i, scenario in enumerate(scenarios):
-            groups.setdefault(
-                self.engine.grid_points(scenario), []
-            ).append(i)
-        decisions = [None] * len(scenarios)
-        for count in sorted(groups):
-            indices = groups[count]
-            solved = self.engine.solve_batch(
-                [scenarios[i] for i in indices]
-            )
-            for i, decision in zip(indices, solved):
-                decisions[i] = decision
-        return decisions

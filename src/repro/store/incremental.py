@@ -13,8 +13,7 @@ Entries hold *groups* of solved points, not single points: a warm
 re-run of an 8k-point sweep must cost a handful of file reads, not 8k.
 Small batches (``<= _POINT_GROUP_LIMIT`` points) use groups of one so
 planner-style workloads get true point-level reuse; large batches use
-groups of ``engine.chunk_size``, aligned with the engine's own
-chunking.  Decision columns are stored as base64-encoded little-endian
+groups of ``_GROUP_SIZE`` (2048) points.  Decision columns are stored as base64-encoded little-endian
 float64 — exact round-trip, no JSON float parsing on the warm path.
 
 Keys
@@ -31,10 +30,10 @@ Identity contract
 -----------------
 A fully-warm run returns bit-identical results to the cold run that
 populated the store (pinned by golden tests and the ``cache-smoke`` CI
-job).  Partially-warm runs re-solve only the missing points; those are
-then batched in a different chunk composition than an all-cold run,
-which carries the same tolerance-level caveat the in-memory memo
-already has (see docs/PERFORMANCE.md).
+job).  Partially-warm runs re-solve only the missing points; the Eq. 2
+kernel is row-local, so those come out bit-identical to an all-cold
+run too, whatever batch they are solved in.  The engine's
+``chunk_size`` is scheduling only and is in no key.
 """
 
 from __future__ import annotations
@@ -64,9 +63,10 @@ __all__ = [
 ]
 
 #: Batches up to this size use one store entry per point (maximum
-#: reuse); larger batches use one entry per engine chunk (fast warm
-#: reads for dense sweeps).
+#: reuse); larger batches use one entry per ``_GROUP_SIZE`` points
+#: (fast warm reads for dense sweeps).
 _POINT_GROUP_LIMIT = 256
+_GROUP_SIZE = 2048
 
 #: BatchResult column names, in storage order.
 _COLUMNS = (
@@ -190,10 +190,7 @@ def _decode_group(body: dict) -> Optional[Tuple[Dict[str, np.ndarray], float]]:
 # ----------------------------------------------------------------------
 
 def _engine_settings(engine: "BatchSolverEngine") -> List[float]:
-    # chunk_size participates because it shapes how missing points are
-    # grouped into vectorised solves (grid resolution is shared per
-    # chunk, so compositions are part of the result's identity).
-    return [engine.grid_step_m, engine.refine_tolerance_m, engine.chunk_size]
+    return [engine.grid_step_m, engine.refine_tolerance_m]
 
 
 def _group_key(
@@ -418,7 +415,7 @@ def solve_batch_incremental(
     if n == 0 or any(point is None for point in points):
         result = engine.solve_batch(scenario_list, parallel=parallel, obs=obs)
         return result, StoreReport(enabled=False, points=n)
-    group_size = 1 if n <= _POINT_GROUP_LIMIT else engine.chunk_size
+    group_size = 1 if n <= _POINT_GROUP_LIMIT else _GROUP_SIZE
     groups = _group_bounds(n, group_size)
     keys = [
         _group_key(engine, points[start:stop]) for start, stop in groups
@@ -483,7 +480,7 @@ def sweep_incremental(
         if base_key is None:
             result = engine.sweep(scenario, param, value_list, obs=obs)
             return result, StoreReport(enabled=False, points=n)
-        group_size = 1 if n <= _POINT_GROUP_LIMIT else engine.chunk_size
+        group_size = 1 if n <= _POINT_GROUP_LIMIT else _GROUP_SIZE
         groups = _group_bounds(n, group_size)
         keys = [
             _sweep_group_key(engine, base_key, field, values_arr[start:stop])

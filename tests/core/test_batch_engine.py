@@ -16,6 +16,8 @@ from repro.api import (
 )
 from repro.core.throughput import TableThroughput
 
+from .scipy_reference import scalar_reference
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -27,21 +29,6 @@ except ImportError:  # pragma: no cover - hypothesis is an optional dep
 
 def fresh_engine(**kwargs):
     return BatchSolverEngine(**kwargs)
-
-
-def scalar_reference(scenario, engine):
-    """The scalar SciPy-refined answer for one scenario."""
-    from repro.core.optimizer import DistanceOptimizer
-
-    return DistanceOptimizer(
-        scenario.utility_model(),
-        grid_step_m=engine.grid_step_m,
-        refine_tolerance_m=engine.refine_tolerance_m,
-    ).optimize(
-        scenario.contact_distance_m,
-        scenario.cruise_speed_mps,
-        scenario.data_bits,
-    )
 
 
 class TestBatchMatchesScalar:
@@ -127,6 +114,40 @@ class TestBatchMatchesScalar:
         engine = fresh_engine()
         with pytest.raises(ValueError):
             engine.solve_batch([airplane_scenario().with_(data_bits=0.0)])
+
+
+class TestNonConcave:
+    """Two throughput peaks (40 m and 55 m) inside one grid bracket.
+
+    The floors are the utilities the grid + SciPy-Brent solver reached
+    on these cases; the vectorised sub-grid rescan must never do worse.
+    """
+
+    TABLE = TableThroughput(
+        {20: 5e6, 40: 30e6, 45: 6e6, 55: 31e6, 60: 5e6, 100: 4e6}
+    )
+    FLOORS = {
+        5.0: 0.04035280882488111,
+        10.0: 0.03478654796621679,
+        20.0: 0.03478654796621679,
+        25.0: 0.04035277912701264,
+    }
+
+    @pytest.mark.parametrize("step", sorted(FLOORS))
+    def test_rescan_never_loses_to_brent(self, step):
+        scenario = quadrocopter_scenario().with_(throughput=self.TABLE)
+        engine = fresh_engine(grid_step_m=step, cache_size=0)
+        decision = engine.solve(scenario)
+        assert decision.utility >= self.FLOORS[step]
+        # The rescan path is row-local too.
+        batch = engine.solve_batch([airplane_scenario(), scenario])
+        assert batch[1] == decision
+        scalar = scenario.optimizer(step).optimize(
+            scenario.contact_distance_m,
+            scenario.cruise_speed_mps,
+            scenario.data_bits,
+        )
+        assert scalar.utility >= self.FLOORS[step]
 
 
 class TestBatchResult:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.scenario import quadrocopter_scenario
+from repro.core.scenario import airplane_scenario, quadrocopter_scenario
 from repro.engine.batch import BatchSolverEngine
 from repro.obs import ObsContext
 from repro.store import (
@@ -12,6 +12,7 @@ from repro.store import (
     solve_incremental,
     sweep_incremental,
 )
+from repro.store.incremental import _group_key, _sweep_group_key
 
 COLUMNS = (
     "distance_m", "utility", "cdelay_s", "shipping_s", "transmission_s",
@@ -61,20 +62,26 @@ class TestSweepIdentity:
         plain = fresh_engine().sweep(scn, "mdata_mb", values)
         assert_batches_equal(cached, plain)
 
-    def test_partial_warm_only_solves_missing(self, store):
-        scn = quadrocopter_scenario()
-        head = np.linspace(1.0, 30.0, 40)
-        both = np.concatenate([head, np.linspace(31.0, 60.0, 40)])
-        sweep_incremental(fresh_engine(), scn, "mdata_mb", head, store)
+    def test_partial_warm_only_solves_missing(self, store, tmp_path):
+        # rho = 5e-3 puts the optimum of the far contacts inside
+        # (d_min, d0), where it depends on the solver's grid rather
+        # than snapping to a bound.
+        scn = airplane_scenario(rho_per_m=5e-3)
+        values = np.linspace(40.0, 290.0, 81)
+        sweep_incremental(fresh_engine(), scn, "d0_m", values[::2], store)
         result, report = sweep_incremental(
-            fresh_engine(), scn, "mdata_mb", both, store
+            fresh_engine(), scn, "d0_m", values, store
         )
-        assert report.warm_points == 40
+        assert report.warm_points == 41
         assert report.cold_points == 40
-        plain = fresh_engine().sweep(scn, "mdata_mb", both)
-        np.testing.assert_allclose(
-            result.distance_m, plain.distance_m, atol=plain.tolerance_m
+        cold, _ = sweep_incremental(
+            fresh_engine(), scn, "d0_m", values, ResultStore(tmp_path / "cold")
         )
+        interior = (cold.distance_m > 20.0) & (
+            cold.distance_m < cold.contact_distance_m
+        )
+        assert interior[1::2].sum() >= 4
+        assert_batches_equal(result, cold)
 
     def test_alias_and_raw_field_share_entries(self, store):
         """mdata_mb sweeps hit entries written via data_bits_override."""
@@ -175,6 +182,21 @@ class TestEngineSettingsInKeys:
         )
         assert report.entry_misses == 1  # separate entry, not a stale hit
         assert store.stats()["entries"] == 2
+
+    def test_chunk_size_is_scheduling_only(self, store):
+        """Engines differing only in chunk_size share every entry."""
+        scn = quadrocopter_scenario()
+        small, large = fresh_engine(chunk_size=7), fresh_engine(chunk_size=512)
+        point = small.point_key(scn)
+        values = np.linspace(1.0, 60.0, 300)
+        assert _group_key(small, [point]) == _group_key(large, [point])
+        assert _sweep_group_key(
+            small, point, "data_bits_override", values
+        ) == _sweep_group_key(large, point, "data_bits_override", values)
+        cold, _ = sweep_incremental(small, scn, "mdata_mb", values, store)
+        warm, report = sweep_incremental(large, scn, "mdata_mb", values, store)
+        assert report.cold_points == 0
+        assert_batches_equal(cold, warm)
 
 
 class TestObsIntegration:
