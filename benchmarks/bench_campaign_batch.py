@@ -13,8 +13,10 @@ The scalar side runs the full replica count: the median-agreement
 check needs matched sample sizes (a scalar slice has a visibly noisier
 median than the 64-replica batch).  The full report is wrapped in the
 same :class:`~repro.obs.RunManifest` that ``repro bench --json``
-prints — per-stage telemetry, campaign metrics and span trace included
-— and dumped to ``BENCH_campaign.json`` for the CI artifact.
+prints — campaign metrics (channel memo counters included) and span
+trace — and dumped to ``BENCH_campaign.json`` for the CI artifact.
+Per-stage time inside the batched link is reported by
+``python3 benchsuite/run.py --workload campaign --trace 1``.
 
 Run standalone:
 
@@ -86,8 +88,8 @@ def main() -> int:
     )
     print(f"scalar  : {report['scalar']['wall_s']:8.2f} s")
     print(f"batched : {report['batched']['wall_s']:8.2f} s")
-    for stage, entry in report["batched"]["telemetry"]["stages"].items():
-        print(f"  stage {stage:10s}: {entry['seconds']:7.3f} s")
+    for name, value in manifest["metrics"]["counters"].items():
+        print(f"  count {name:26s}: {value}")
     ok = check(report)
     path = dump_bench_json(manifest)
     print(f"manifest written to {path}")

@@ -11,7 +11,7 @@ ways against a throwaway store:
 * **edited** — one file touched, exactly one miss.
 
 Acceptance: warm at least 5x faster than cold, and the warm report
-(telemetry aside) plus its SARIF serialisation byte-identical to the
+(its ``metrics``/``trace`` aside) plus its SARIF serialisation byte-identical to the
 cold run's.  The report is dumped to ``BENCH_lint.json`` through the
 same manifest schema as the other benchmark artifacts.
 
@@ -35,7 +35,7 @@ from conftest import dump_bench_json, run_once
 
 from repro.analysis import default_root, run_lint, sarif_json
 from repro.obs import RunManifest
-from repro.perf import PerfTelemetry, wall_clock
+from repro.perf import wall_clock
 from repro.store import ResultStore
 
 #: Acceptance bar: warm lint at least this much faster than cold.
@@ -47,18 +47,16 @@ EDIT_TARGET = "core/delay.py"
 
 def _lint_pass(root: Path, store: ResultStore) -> tuple:
     """One full lint of ``root``; (wall seconds, report)."""
-    telemetry = PerfTelemetry()
     t0 = wall_clock()
-    report = run_lint(
-        root=root, use_baseline=False, cache=store, telemetry=telemetry
-    )
+    report = run_lint(root=root, use_baseline=False, cache=store)
     return wall_clock() - t0, report
 
 
 def _comparable(report) -> str:
-    """Deterministic report body (telemetry carries wall-clock)."""
+    """Deterministic report body (the trace carries wall-clock)."""
     payload = report.to_dict()
-    payload.pop("telemetry")
+    payload.pop("metrics")
+    payload.pop("trace")
     return json.dumps(payload, sort_keys=True)
 
 
@@ -91,12 +89,10 @@ def measure() -> dict:
         "warm_s": warm_s,
         "edited_s": edited_s,
         "speedup": cold_s / warm_s,
-        "cold_misses": cold.telemetry.counters.get("lint.cache.misses", 0),
-        "warm_hits": warm.telemetry.counters.get("lint.cache.hits", 0),
-        "warm_misses": warm.telemetry.counters.get("lint.cache.misses", 0),
-        "edited_misses": edited.telemetry.counters.get(
-            "lint.cache.misses", 0
-        ),
+        "cold_misses": cold.obs.metrics.value("lint.cache.misses"),
+        "warm_hits": warm.obs.metrics.value("lint.cache.hits"),
+        "warm_misses": warm.obs.metrics.value("lint.cache.misses"),
+        "edited_misses": edited.obs.metrics.value("lint.cache.misses"),
         "reports_identical": _comparable(cold) == _comparable(warm),
         "sarif_identical": (
             sarif_json(cold, uri_prefix="src/repro")

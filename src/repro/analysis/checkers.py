@@ -221,7 +221,7 @@ class SimTimePurityChecker(ModuleChecker):
     Inside ``sim/``, ``net/``, ``phy/``, ``channel/`` and ``mac/``,
     time is the kernel's ``now_s`` — reading ``time.time`` or friends
     there couples results to host speed and destroys replayability.
-    Performance telemetry belongs in :mod:`repro.perf` (allowlisted) or
+    Performance instrumentation belongs in :mod:`repro.obs` spans or
     behind an explicit per-line suppression.
     """
 
@@ -254,7 +254,7 @@ class SimTimePurityChecker(ModuleChecker):
                         node,
                         f"wall-clock read ({canonical}) inside simulation "
                         "code; use the kernel's simulated now_s (or move "
-                        "instrumentation to repro.perf)",
+                        "instrumentation to a repro.obs span)",
                     )
                 )
         return findings
@@ -264,8 +264,8 @@ class SimTimePurityChecker(ModuleChecker):
 # RL106 — wall-clock discipline (instrumentation outside sim packages)
 # ----------------------------------------------------------------------
 
-#: Modules allowed to read wall clocks directly: the telemetry layer
-#: that defines the sanctioned ``repro.perf.wall_clock`` alias, and the
+#: Modules allowed to read wall clocks directly: :mod:`repro.perf`,
+#: which defines the sanctioned ``repro.perf.wall_clock`` alias, and the
 #: observability package built on top of it.
 _CLOCK_ALLOWED_FILES = {"perf.py"}
 _CLOCK_ALLOWED_PREFIXES = ("obs/",)
@@ -278,7 +278,7 @@ class WallClockDisciplineChecker(ModuleChecker):
     RL102 keeps wall clocks out of the *simulation* packages entirely;
     RL106 covers everything else.  Instrumentation code may time itself,
     but only through the sanctioned :data:`repro.perf.wall_clock` alias
-    (or a :class:`~repro.perf.StageTimer` / tracer span built on it) —
+    (or a :mod:`repro.obs` tracer span built on it) —
     a bare ``time.perf_counter()`` is untraceable by the observability
     layer and invisible to run manifests.  Only :mod:`repro.perf`
     itself and the :mod:`repro.obs` package touch :mod:`time` directly.
@@ -314,7 +314,7 @@ class WallClockDisciplineChecker(ModuleChecker):
                         self.rule.id,
                         node,
                         f"bare wall-clock read ({canonical}); use "
-                        "repro.perf.wall_clock (or a StageTimer/span) so "
+                        "repro.perf.wall_clock (or a repro.obs span) so "
                         "the observability layer can account for it",
                     )
                 )

@@ -188,7 +188,7 @@ class DeterminismTaintChecker(TreeChecker):
     tainted value) are violations only inside modules the fingerprint
     tuples mark as cacheable — their results feed the store, so they
     must be pure functions of (config, seed, code).  The sanctioned
-    routes — :data:`repro.perf.wall_clock` for telemetry, seeded
+    routes — :data:`repro.perf.wall_clock` for timing, seeded
     streams from :mod:`repro.sim.random` — resolve to non-source paths
     and never trip the rule.
     """
@@ -252,7 +252,7 @@ class DeterminismTaintChecker(TreeChecker):
                                 f"{summary.module} returns a value from "
                                 f"{origin}; cacheable results must be "
                                 "bit-deterministic — keep wall-clock "
-                                "telemetry in repro.perf stage timers"
+                                "timing in repro.obs spans"
                             ),
                             snippet=snippet,
                         )

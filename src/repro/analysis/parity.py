@@ -14,7 +14,7 @@ rule:
   (``sample_snr_db`` → ``sample_snr_db_batch``);
 * mirrored signatures must agree parameter-for-parameter, modulo the
   array dimension: the batch side may add the batch-only parameters
-  ``n_replicas``, ``telemetry`` and ``parallel``, and may pluralise a
+  ``n_replicas`` and ``parallel``, and may pluralise a
   quantity (``scenario`` → ``scenarios``, ``distance_m`` →
   ``distances_m``); everything else must match in name and order
   (annotations and defaults are free to change from scalar to array);
@@ -41,8 +41,8 @@ from .graph import ClassSummary, MethodSummary, Program
 __all__ = ["BatchTwinParityChecker", "ParityPair"]
 
 #: Parameters the batch side may add anywhere in the signature
-#: (replica count, perf instrumentation, fan-out control).
-_BATCH_ONLY_PARAMS = {"n_replicas", "telemetry", "parallel"}
+#: (replica count, fan-out control).
+_BATCH_ONLY_PARAMS = {"n_replicas", "parallel"}
 
 #: Suffixes under which a scalar method may be mirrored.
 _MIRROR_SUFFIXES = ("", "_batch", "_array")

@@ -16,7 +16,7 @@ so a warm run re-parses only changed files and a lint-code change
 invalidates everything.  Tree rules (RL105/RL108/RL109) always re-run,
 but they read summaries, never source, so the warm path does zero
 parsing for unchanged files and the report is byte-identical to a cold
-run (telemetry aside).
+run (its ``metrics``/``trace`` aside).
 
 **Parallel cold runs.**  Cache misses are parsed and checked on the
 persistent :mod:`repro.exec` process pool (``jobs=`` controls the
@@ -24,10 +24,12 @@ width; ``jobs=1`` forces serial).  The backend's adaptive shard
 planner groups files into dispatch chunks, replacing the old
 ``n_jobs * 4`` chunking heuristic.
 
-Wall-clock per stage is charged to a :class:`repro.perf.PerfTelemetry`
-(``walk`` / ``cache`` / ``parse`` / ``check:<tree-rule>`` /
-``filter``), surfaced in the ``--json`` report so lint runtime
-regressions show up next to the engine benchmarks.
+Each run carries an :class:`~repro.obs.ObsContext`: one span per stage
+(``lint.walk`` / ``lint.cache`` / ``lint.parse`` /
+``lint.check.<tree-rule>`` / ``lint.filter``) plus ``lint.*``
+counters, surfaced as ``metrics`` and ``trace`` in the ``--json``
+report so lint runtime regressions show up next to the engine
+benchmarks.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..exec import backend_for
-from ..perf import PerfTelemetry
+from ..obs import ObsContext
 from ..store.fingerprint import ANALYSIS_CODE_MODULES, config_key
 from ..store.store import ResultStore, resolve_store
 from .base import (
@@ -123,7 +125,8 @@ class LintReport:
     #: Scalar↔batch pairings RL105 verified.
     parity_pairs: List[ParityPair]
     checked_files: int
-    telemetry: PerfTelemetry = field(default_factory=PerfTelemetry)
+    #: Stage spans and ``lint.*`` counters of the run.
+    obs: ObsContext = field(default_factory=ObsContext.enabled)
     #: True when findings were filtered to git-changed files only.
     changed_only: bool = False
 
@@ -164,7 +167,8 @@ class LintReport:
             "baselined": [f.to_dict() for f in self.baselined],
             "suppressed": [f.to_dict() for f in self.suppressed],
             "parity_pairs": [p.to_dict() for p in self.parity_pairs],
-            "telemetry": self.telemetry.as_dict(),
+            "metrics": self.obs.metrics.to_dict(),
+            "trace": self.obs.tracer.summary(),
         }
 
     def to_json(self) -> str:
@@ -283,7 +287,7 @@ def _check_files(
     items: "List[Tuple[str, str]]",
     module_rule_ids: Sequence[str],
     jobs: Optional[int],
-    telemetry: PerfTelemetry,
+    obs: ObsContext,
 ) -> Dict[str, Dict[str, object]]:
     if not items:
         return {}
@@ -300,7 +304,7 @@ def _check_files(
             with_report=True,
         )
         if report.pooled:
-            telemetry.count("lint.parallel.files", len(items))
+            obs.metrics.counter("lint.parallel.files").inc(len(items))
         return dict(pairs)
     return {
         path: _check_file_record(path, source, module_rule_ids)
@@ -396,7 +400,6 @@ def run_lint(
     rules: Optional[List[str]] = None,
     baseline_path: Optional[Path] = None,
     use_baseline: bool = True,
-    telemetry: Optional[PerfTelemetry] = None,
     cache: "Union[None, bool, ResultStore]" = None,
     refresh: bool = False,
     jobs: Optional[int] = None,
@@ -417,11 +420,11 @@ def run_lint(
     the analysis still sees the whole tree, so cross-file rules stay
     sound — and falls back to a full report outside a git checkout.
     """
-    telemetry = telemetry if telemetry is not None else PerfTelemetry()
     root = Path(root) if root is not None else default_root()
     if not root.is_dir():
         raise FileNotFoundError(f"lint root {root} is not a directory")
-    with telemetry.stage("walk"):
+    obs = ObsContext.enabled()
+    with obs.tracer.span("lint.walk"):
         files = _walk_tree(root)
         sources = {
             path.relative_to(root).as_posix(): path.read_text(
@@ -435,7 +438,7 @@ def run_lint(
     records: Dict[str, Dict[str, object]] = {}
     stale: List[str] = []
     keys: Dict[str, str] = {}
-    with telemetry.stage("cache"):
+    with obs.tracer.span("lint.cache"):
         if store is not None:
             keys = {
                 rel: _record_key(rel, source, module_ids)
@@ -453,18 +456,18 @@ def run_lint(
                 store.touch_many([keys[rel] for rel in records])
         else:
             stale = list(sources)
-    with telemetry.stage("parse"):
+    with obs.tracer.span("lint.parse"):
         fresh = _check_files(
             [(rel, sources[rel]) for rel in stale],
             module_ids,
             jobs,
-            telemetry,
+            obs,
         )
     records.update(fresh)
     if store is not None and fresh:
         store.put_many({keys[rel]: fresh[rel] for rel in fresh})
-    telemetry.count("lint.cache.hits", len(records) - len(fresh))
-    telemetry.count("lint.cache.misses", len(fresh))
+    obs.metrics.counter("lint.cache.hits").inc(len(records) - len(fresh))
+    obs.metrics.counter("lint.cache.misses").inc(len(fresh))
 
     baseline = None
     if use_baseline:
@@ -478,7 +481,7 @@ def run_lint(
         root=str(root),
         rules=rules,
         baseline=baseline,
-        telemetry=telemetry,
+        obs=obs,
         changed=changed,
     )
 
@@ -488,11 +491,11 @@ def _assemble(
     root: str,
     rules: Optional[List[str]] = None,
     baseline: Optional[Baseline] = None,
-    telemetry: Optional[PerfTelemetry] = None,
+    obs: Optional[ObsContext] = None,
     changed: Optional[Set[str]] = None,
 ) -> LintReport:
     """Tree rules + suppression/baseline filtering over file records."""
-    telemetry = telemetry if telemetry is not None else PerfTelemetry()
+    obs = obs if obs is not None else ObsContext.enabled()
     _module_ids, tree_checkers = _split_rules(rules)
     findings: List[Finding] = []
     for rel in records:
@@ -507,11 +510,11 @@ def _assemble(
     program = Program(root=root, summaries=summaries)
     parity_pairs: List[ParityPair] = []
     for checker in tree_checkers:
-        with telemetry.stage(f"check:{checker.rule.id}"):
+        with obs.tracer.span(f"lint.check.{checker.rule.id}"):
             findings.extend(checker.check_program(program))
             if isinstance(checker, BatchTwinParityChecker):
                 parity_pairs = list(checker.pairs)
-    with telemetry.stage("filter"):
+    with obs.tracer.span("lint.filter"):
         per_file = {
             rel: _decode_suppressions(records[rel]["suppressions"])  # type: ignore[arg-type]
             for rel in records
@@ -524,8 +527,8 @@ def _assemble(
             new, baselined = baseline.split_new(active)
         else:
             new, baselined = list(active), []
-    telemetry.count("files", len(records))
-    telemetry.count("findings", len(active))
+    obs.metrics.counter("lint.files").inc(len(records))
+    obs.metrics.counter("lint.findings").inc(len(active))
     selected = checkers_for(rules)
     rule_ids = (
         sorted({c.rule.id for c in selected})
@@ -541,6 +544,6 @@ def _assemble(
         suppressed=suppressed,
         parity_pairs=parity_pairs,
         checked_files=len(records),
-        telemetry=telemetry,
+        obs=obs,
         changed_only=changed is not None,
     )

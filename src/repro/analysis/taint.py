@@ -14,7 +14,7 @@ way (reassigning a name from a clean expression clears its taint).
 It does not chase taint through calls, containers or attributes —
 under-approximating keeps the rule quiet enough to be trusted, and
 the sanctioned escape hatches (:data:`repro.perf.wall_clock` for
-telemetry, seeded streams from :mod:`repro.sim.random`) resolve to
+timing, seeded streams from :mod:`repro.sim.random`) resolve to
 non-source paths, so blessed code needs no annotations.
 
 The pass emits serialisable *candidates*, not findings: ``sink``

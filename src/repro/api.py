@@ -40,8 +40,7 @@ Every entry point returns a versioned :class:`RunResult` envelope:
 ``.outputs`` holds the underlying object (:class:`OptimalDecision`,
 :class:`BatchResult`, :class:`~repro.faults.chaos.ChaosResult`),
 ``.manifest`` a :class:`~repro.obs.RunManifest` (config echo, seeds,
-git rev, and — when ``obs=`` was passed — telemetry, metrics, trace
-and events).  The envelope *delegates* attribute access, indexing and
+git rev, and — when ``obs=`` was passed — metrics, trace and events).  The envelope *delegates* attribute access, indexing and
 iteration to its outputs, so existing call sites
 (``solve(s).distance_m``, ``for d in solve_batch(...)``) keep working
 unchanged.  Callers that need the exact pre-envelope return type can
@@ -340,7 +339,7 @@ def _chaos_store_key(
     """The store key for one chaos run, or ``None`` if uncacheable.
 
     Uncacheable means some kwarg does not serialise canonically (e.g. a
-    live ``telemetry`` collector, which the run must populate anyway).
+    NumPy scalar where a plain ``int`` belongs).
     """
     import dataclasses
 

@@ -157,7 +157,8 @@ class BatchAerialChannel:
     :meth:`ChannelProfile.mean_snr_db` with a memo on the last input
     arrays — campaigns hold distance constant per replica, so the mean
     is computed once and every subsequent epoch is a cache hit (the
-    ``mean_cache_hits`` counter surfaces in the perf telemetry).
+    ``mean_cache_hits`` counter surfaces as the campaign's
+    ``channel.mean_cache_hits`` obs metric).
     """
 
     def __init__(

@@ -38,7 +38,6 @@ global ``--jobs N`` / ``--serial`` flags, which point the shared
 execution backend (:mod:`repro.exec`) at a worker count or force the
 in-process path for the whole command.  Results are byte-identical
 either way — the flags only trade wall-clock for process count.
-``bench --no-parallel`` is a deprecated alias for ``--serial``.
 
 The CLI talks to the library exclusively through the stable
 :mod:`repro.api` façade — no ``repro.core`` internals.
@@ -98,25 +97,12 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _configure_exec(args: argparse.Namespace) -> None:
-    """Point :mod:`repro.exec` at this command's ``--jobs``/``--serial``.
-
-    Also maps the deprecated per-command knobs (``bench --no-parallel``)
-    onto the new flags, warning once per invocation.
-    """
-    import warnings
-
+    """Point :mod:`repro.exec` at this command's ``--jobs``/``--serial``."""
     from . import exec as exec_backend
 
-    serial = bool(getattr(args, "serial", False))
-    if getattr(args, "no_parallel", False):
-        warnings.warn(
-            "--no-parallel is deprecated; use the global --serial flag",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        serial = True
     exec_backend.configure(
-        workers=getattr(args, "jobs", None), serial=serial
+        workers=getattr(args, "jobs", None),
+        serial=bool(getattr(args, "serial", False)),
     )
 
 
@@ -263,13 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: full count)",
     )
     bench.add_argument(
-        "--no-parallel", action="store_true",
-        help="deprecated alias for --serial",
-    )
-    bench.add_argument(
         "--json",
         action="store_true",
-        help="emit one JSON report with timings and telemetry",
+        help="emit one JSON report with timings and campaign metrics",
     )
     _add_cache_flags(bench)
     _add_exec_flags(bench)
@@ -418,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--json",
         action="store_true",
-        help="emit one JSON report with findings and lint telemetry",
+        help="emit one JSON report with findings, lint metrics and trace",
     )
     lint.add_argument(
         "--sarif", default=None, metavar="FILE",
@@ -577,7 +559,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         bare = result.manifest
         if obs is not None:
             bare = dataclasses.replace(
-                bare, telemetry=None, metrics=None, trace=None, events=None
+                bare, metrics=None, trace=None, events=None
             )
         with open(args.manifest_out, "w", encoding="utf-8") as handle:
             handle.write(bare.to_json())
@@ -694,9 +676,9 @@ def bench_report(
 
     Shared by ``repro bench`` and the benchmark suite so both emit the
     same JSON shape: workload parameters, wall-clock for both engines,
-    the speedup, per-stage timings, memo-hit counters and per-distance
-    medians (see docs/PERFORMANCE.md).  ``obs`` collects campaign spans
-    and metrics across both runs (see :func:`bench_manifest`).
+    the speedup and per-distance medians (see docs/PERFORMANCE.md).
+    ``obs`` collects campaign spans and metrics — including the channel
+    memo-hit counters — across both runs (see :func:`bench_manifest`).
     ``cache``/``refresh`` control the persistent result store for the
     batched campaign (the scalar baseline always runs live — it is the
     thing being measured against).
@@ -735,7 +717,6 @@ def bench_report(
         "batched": {
             "wall_s": batch.wall_s,
             "medians_mbps": {str(k): v for k, v in batch_medians.items()},
-            "telemetry": batch.telemetry.as_dict(),
         },
         "speedup": scalar_wall / batch.wall_s if batch.wall_s > 0 else None,
         "median_agreement": {
@@ -792,10 +773,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         duration_s=args.duration,
         seed=args.seed,
     )
-    obs = ObsContext.enabled(deterministic=True) if args.json else None
+    obs = ObsContext.enabled(deterministic=True)
     report = bench_report(
         config,
-        parallel=False if (args.no_parallel or args.serial) else None,
+        parallel=False if args.serial else None,
         scalar_replicas=args.scalar_replicas,
         obs=obs,
         **_cache_kwargs(args),
@@ -821,13 +802,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"batched engine    : {report['batched']['wall_s']:.2f} s")
     print(f"speedup           : {report['speedup']:.1f}x")
     print("-" * 40)
-    telemetry = report["batched"]["telemetry"]
-    for stage, entry in telemetry["stages"].items():
-        print(f"stage {stage:12s}: {entry['seconds']:.3f} s "
-              f"({entry['calls']} calls)")
-    counters = telemetry["counters"]
-    for name in sorted(counters):
-        print(f"count {name:17s}: {counters[name]}")
+    for name, value in obs.metrics.to_dict()["counters"].items():
+        print(f"count {name:28s}: {value}")
     for d, rel in report["median_agreement"].items():
         batch_m = report["batched"]["medians_mbps"][d]
         scalar_m = report["scalar"]["medians_mbps"][d]

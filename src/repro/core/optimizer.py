@@ -107,13 +107,15 @@ def argmax_utility(
     utility: _Utility,
     grid_step_m: float,
     tolerance_m: float,
-) -> np.ndarray:
+) -> "tuple[np.ndarray, int]":
     """Each row's ``argmax U(d)`` over ``[d_min[i], d0[i]]`` (Eq. 2).
 
     ``utility`` evaluates ``U`` elementwise on row-aligned distances of
     shape (N,) or (N, G).  Row ``i`` scans its own grid of
     ``min(4096, max(3, ceil(span/step) + 1))`` points, so its answer is
-    bit-identical whatever rows share the call.
+    bit-identical whatever rows share the call.  Returns ``(best,
+    rescan_rows)``: the argmax per row and how many rows took the
+    non-concave sub-grid rescan.
     """
     span = d0 - d_min
     n = np.minimum(
@@ -142,7 +144,8 @@ def argmax_utility(
         & (k < n - 1)
         & (refined_u < grid_best_u * (1.0 - 1e-9))
     )
-    if suspect.any():
+    rescan_rows = int(np.count_nonzero(suspect))
+    if rescan_rows:
         _, sub_d, sub_u, sub_lo, sub_hi = _scan(
             utility, lo, hi - lo, np.full(len(n), _RESCAN_POINTS)
         )
@@ -160,7 +163,7 @@ def argmax_utility(
     best = np.where(snap_floor, d_min, best)
     best_u = np.where(snap_floor, u_floor, best_u)
     snap_ceil = (~degenerate) & (u_ceil >= best_u * (1.0 - _SNAP_REL))
-    return np.where(snap_ceil, d0, best)
+    return np.where(snap_ceil, d0, best), rescan_rows
 
 
 @dataclass(frozen=True)
@@ -272,10 +275,11 @@ class DistanceOptimizer:
             ),
             otypes=[float],
         )
-        best = float(argmax_utility(
+        best_row, _ = argmax_utility(
             np.array([float(d_min)]), np.array([float(contact_distance_m)]),
             u, self.grid_step_m, self.refine_tolerance_m,
-        )[0])
+        )
+        best = float(best_row[0])
         detail: UtilityBreakdown = self.utility_model.breakdown(
             best, contact_distance_m, speed_mps, data_bits
         )

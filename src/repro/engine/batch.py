@@ -261,7 +261,7 @@ class BatchSolverEngine:
             cached = self._cache.get(key)
             if cached is not None:
                 return cached, True
-        decision = self._solve_chunk([scenario])[0]
+        decision = self._solve_chunk([scenario])[0][0]
         if key is not None:
             self._cache.put(key, decision)
         return decision, False
@@ -296,6 +296,7 @@ class BatchSolverEngine:
         results: List[Optional[OptimalDecision]] = [None] * len(scenario_list)
         keys = [self._key(s) for s in scenario_list]
         miss_idx = []
+        rescan_rows = 0
         for i, key in enumerate(keys):
             cached = self._cache.get(key) if key is not None else None
             if cached is not None:
@@ -322,7 +323,8 @@ class BatchSolverEngine:
                 )
             else:
                 solved_chunks = [self._solve_chunk(chunk) for chunk in chunks]
-            solved = [d for chunk in solved_chunks for d in chunk]
+            rescan_rows = sum(n for _, n in solved_chunks)
+            solved = [d for chunk, _ in solved_chunks for d in chunk]
             for i, decision in zip(miss_idx, solved):
                 results[i] = decision
                 if keys[i] is not None:
@@ -335,6 +337,8 @@ class BatchSolverEngine:
                 metrics.counter("engine.cache.hits").inc(hits)
             if miss_idx:
                 metrics.counter("engine.cache.misses").inc(len(miss_idx))
+            if rescan_rows:
+                metrics.counter("engine.rescan_rows").inc(rescan_rows)
             metrics.counter("engine.batches").inc()
             metrics.histogram(
                 "engine.batch.size", _BATCH_SIZE_EDGES
@@ -423,8 +427,12 @@ class BatchSolverEngine:
 
     def _solve_chunk(
         self, scenarios: Sequence["Scenario"]
-    ) -> List[OptimalDecision]:
-        """The Eq. 2 kernel over one chunk of scenarios."""
+    ) -> Tuple[List[OptimalDecision], int]:
+        """The Eq. 2 kernel over one chunk of scenarios.
+
+        Returns the decisions and how many rows took the non-concave
+        rescan (see :func:`~repro.core.optimizer.argmax_utility`).
+        """
         for s in scenarios:
             if s.cruise_speed_mps <= 0:
                 raise ValueError("speed must be positive (Eq. 2 constraint)")
@@ -436,7 +444,7 @@ class BatchSolverEngine:
                     f"floor {s.min_distance_m}"
                 )
         params = _Params(scenarios)
-        best = argmax_utility(
+        best, rescan_rows = argmax_utility(
             params.dmin,
             params.d0,
             params.utility,
@@ -445,7 +453,7 @@ class BatchSolverEngine:
         )
         utility, cdelay, shipping, transmission, discount = params.breakdown(best)
         tolerance = max(self.refine_tolerance_m, 1e-6)
-        return [
+        decisions = [
             OptimalDecision(
                 distance_m=float(best[i]),
                 utility=float(utility[i]),
@@ -460,6 +468,7 @@ class BatchSolverEngine:
             )
             for i in range(len(params))
         ]
+        return decisions, rescan_rows
 
 
 _DEFAULT_ENGINE: Optional[BatchSolverEngine] = None

@@ -9,7 +9,7 @@ the batch engine's thread fan-out), with:
 * shared-memory structure-of-arrays result transport
   (:class:`ArrayPayload`), pickling only small/non-array payloads;
 * adaptive dispatch sharding (:class:`~repro.exec.sharding.ShardPlanner`)
-  seeded from :class:`repro.perf.PerfTelemetry` timings;
+  seeded from the chunk wall-clock the workers report;
 * crash recovery — broken pools respawn and undelivered chunks
   re-run deterministically.
 

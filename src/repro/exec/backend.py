@@ -47,7 +47,7 @@ import os
 from concurrent import futures
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..perf import PerfTelemetry, wall_clock
+from ..perf import wall_clock
 from .sharding import ShardPlanner
 from .transport import decode_result, encode_result
 
@@ -80,18 +80,17 @@ def _fresh_counters() -> Dict[str, int]:
 def _run_chunk(fn: Callable, tasks: Sequence) -> tuple:
     """One pool submission: run ``fn`` over a contiguous task chunk.
 
-    Times the chunk with :class:`~repro.perf.PerfTelemetry` (the
-    planner's cost model feeds on these) and wire-encodes each result
-    so array payloads ride shared memory instead of pickle.
+    Returns ``(seconds, outs)``: the chunk's wall-clock (the planner's
+    cost model feeds on it) and each result wire-encoded so array
+    payloads ride shared memory instead of pickle.
     """
-    telemetry = PerfTelemetry()
-    with telemetry.stage("exec.chunk"):
-        outs = [encode_result(fn(task)) for task in tasks]
-    return telemetry, outs
+    start = wall_clock()
+    outs = [encode_result(fn(task)) for task in tasks]
+    return wall_clock() - start, outs
 
 
 class MapReport:
-    """How one ``map`` call executed (for telemetry and benchmarks)."""
+    """How one ``map`` call executed (for tests and benchmarks)."""
 
     __slots__ = ("pooled", "chunks", "tasks", "respawns")
 
@@ -114,7 +113,6 @@ class ExecBackend:
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
         self.counters = _fresh_counters()
-        self.telemetry = PerfTelemetry()
         self.planner = ShardPlanner()
         self._pool: Optional[futures.ProcessPoolExecutor] = None
         self._thread_pools: Dict[int, futures.ThreadPoolExecutor] = {}
@@ -193,9 +191,7 @@ class ExecBackend:
     def _map_serial(self, fn, tasks, family):
         start = wall_clock()
         results = [fn(task) for task in tasks]
-        elapsed = wall_clock() - start
-        self.telemetry.add_time(f"exec.serial.{family}", elapsed)
-        self.planner.observe(family, len(tasks), elapsed)
+        self.planner.observe(family, len(tasks), wall_clock() - start)
         self.counters["exec.serial_tasks"] += len(tasks)
         return results, MapReport(pooled=False, chunks=0, tasks=len(tasks))
 
@@ -208,7 +204,6 @@ class ExecBackend:
         wire: List[Optional[list]] = [None] * len(slices)
         pending = set(range(len(slices)))
         respawns = 0
-        start = wall_clock()
         while pending:
             try:
                 pool = self._ensure_pool()
@@ -220,11 +215,8 @@ class ExecBackend:
                 }
                 for fut in futures.as_completed(submitted):
                     ci = submitted[fut]
-                    chunk_tel, outs = fut.result()
-                    self.telemetry.merge(chunk_tel)
-                    self.planner.observe_telemetry(
-                        family, len(slices[ci]), chunk_tel
-                    )
+                    seconds, outs = fut.result()
+                    self.planner.observe(family, len(slices[ci]), seconds)
                     wire[ci] = outs
                     pending.discard(ci)
             except (OSError, PermissionError):
@@ -235,9 +227,7 @@ class ExecBackend:
                 if not reused and len(pending) == len(slices):
                     self._pool_unavailable = True
                     return self._map_serial(fn, tasks, family)
-                for ci in sorted(pending):
-                    wire[ci] = [fn(tasks[i]) for i in slices[ci]]
-                pending.clear()
+                self._run_in_parent(fn, tasks, slices, pending, wire)
             except futures.process.BrokenProcessPool:
                 self._dispose_pool()
                 respawns += 1
@@ -246,11 +236,7 @@ class ExecBackend:
                     # Degrade, never fail: finish the undelivered
                     # chunks in the parent.  Purity of the workers
                     # makes the re-run bit-identical.
-                    for ci in sorted(pending):
-                        wire[ci] = [fn(tasks[i]) for i in slices[ci]]
-                    pending.clear()
-        elapsed = wall_clock() - start
-        self.telemetry.add_time(f"exec.map.{family}", elapsed)
+                    self._run_in_parent(fn, tasks, slices, pending, wire)
         if reused:
             self.counters["exec.pool_reuse"] += 1
         self.counters["exec.shards"] += len(tasks)
@@ -264,6 +250,13 @@ class ExecBackend:
             tasks=len(tasks),
             respawns=respawns,
         )
+
+    def _run_in_parent(self, fn, tasks, slices, pending, wire) -> None:
+        """Degraded path: run every undelivered chunk in the parent."""
+        for ci in sorted(pending):
+            wire[ci] = [fn(tasks[i]) for i in slices[ci]]
+            self.counters["exec.serial_tasks"] += len(slices[ci])
+        pending.clear()
 
     def _decode(self, item):
         from .transport import WireResult

@@ -10,9 +10,9 @@ replaces all three with one cost model:
   leave the pool idle at the tail of a map;
 * **floor the chunk duration** so tiny tasks are grouped until a chunk
   is worth the submit/pickle round trip;
-* estimate per-item cost from :class:`repro.perf.PerfTelemetry`
-  timings the workers themselves record (an EWMA per task *family*,
-  seeded by the first serial or pooled run).
+* estimate per-item cost from the chunk wall-clock the workers
+  themselves record (an EWMA per task *family*, seeded by the first
+  serial or pooled run).
 
 Dispatch chunking is **result-neutral by construction**: the planner
 only groups already-fixed determinism units (campaign shards, relay
@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 from typing import Dict, Optional
-
-from ..perf import PerfTelemetry
 
 __all__ = ["ShardPlanner"]
 
@@ -59,18 +57,6 @@ class ShardPlanner:
             if prior is None
             else self.alpha * cost + (1.0 - self.alpha) * prior
         )
-
-    def observe_telemetry(
-        self,
-        family: str,
-        n_items: int,
-        telemetry: PerfTelemetry,
-        stage: str = "exec.chunk",
-    ) -> None:
-        """Seed the model from worker-recorded telemetry timings."""
-        seconds = telemetry.stage_seconds.get(stage)
-        if seconds is not None:
-            self.observe(family, n_items, seconds)
 
     def item_seconds(self, family: str) -> float:
         """Current per-item cost estimate for ``family``."""

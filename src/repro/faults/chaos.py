@@ -22,6 +22,7 @@ by the test suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -34,7 +35,6 @@ from ..net.link import WirelessLink
 from ..net.packets import ImageBatch
 from ..net.retry import ExponentialBackoff, RetryPolicy
 from ..obs import ObsContext, RunManifest
-from ..perf import PerfTelemetry
 from ..phy.rate_control import scalar_controller
 from ..sim.kernel import Simulator
 from ..sim.random import RandomStreams
@@ -74,7 +74,7 @@ class ChaosResult:
     replans: Tuple[Dict[str, object], ...] = field(default_factory=tuple)
     #: ``(time_s, kind)`` log of faults that actually fired.
     faults_fired: Tuple[Tuple[float, str], ...] = field(default_factory=tuple)
-    #: Per-fault counters (``faults.*`` plus outage epoch counts).
+    #: ``faults.<kind>`` counts of the faults that fired.
     counters: Dict[str, int] = field(default_factory=dict)
     battery_fraction: float = 1.0
     deadline_s: Optional[float] = None
@@ -161,7 +161,6 @@ def run_chaos(
     retry: RetryPolicy = RetryPolicy(),
     idle_timeout_s: float = 2.0,
     max_resumes: int = 8,
-    telemetry: Optional[PerfTelemetry] = None,
     obs: Optional[ObsContext] = None,
 ) -> ChaosResult:
     """Execute one solved mission under a fault plan; fully deterministic.
@@ -189,7 +188,6 @@ def run_chaos(
     events = obs.events if obs is not None else None
 
     streams = RandomStreams(seed=seed)
-    tel = telemetry if telemetry is not None else PerfTelemetry()
     sim = Simulator(obs=obs)
     channel = AerialChannel(_PROFILES[scenario_name](), streams)
     link = WirelessLink(
@@ -202,9 +200,7 @@ def run_chaos(
     batch = ImageBatch(batch_id=0, total_bytes=total_bytes)
     battery = Battery(scn.platform)
 
-    injector = FaultInjector(
-        sim, plan, streams=streams, telemetry=tel, events=events
-    )
+    injector = FaultInjector(sim, plan, streams=streams, events=events)
     injector.attach_battery(battery)
 
     # Mutable geometry: ship from d_start (at t_start) towards floor_m at
@@ -361,7 +357,9 @@ def run_chaos(
         checkpoints=tuple(checkpoints),
         replans=tuple(replans),
         faults_fired=tuple(injector.fired),
-        counters=dict(tel.counters),
+        counters=dict(
+            Counter(f"faults.{kind}" for _, kind in injector.fired)
+        ),
         battery_fraction=battery.fraction,
         deadline_s=deadline_s,
     )

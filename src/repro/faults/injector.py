@@ -10,8 +10,8 @@ re-solves the decision), and link outages are counted here but *applied*
 through the :class:`~repro.faults.outage.OutageSchedule` compiled into
 the link engines — keeping the hot path free of kernel callbacks.
 
-Every fired fault increments a ``faults.<kind>`` counter on the
-injected :class:`~repro.perf.PerfTelemetry`, so campaign reports can
+Every fired fault lands in :attr:`FaultInjector.fired` (and, with an
+event log attached, as a ``fault.<kind>`` event), so chaos reports can
 say how much chaos a run actually experienced.
 """
 
@@ -23,7 +23,6 @@ import numpy as np
 
 from ..core.failure import failure_rate_from_platform
 from ..obs.events import EventLog
-from ..perf import PerfTelemetry
 from ..sim.kernel import Simulator
 from ..sim.random import RandomStreams
 from .plan import FaultPlan, FaultSpec
@@ -67,13 +66,11 @@ class FaultInjector:
         sim: Simulator,
         plan: FaultPlan,
         streams: Optional[RandomStreams] = None,
-        telemetry: Optional[PerfTelemetry] = None,
         events: Optional[EventLog] = None,
     ) -> None:
         self.sim = sim
         self.plan = plan
         self.streams = streams
-        self.telemetry = telemetry
         self.events = events
         self.node_lost = False
         self.node_lost_at_s: Optional[float] = None
@@ -121,15 +118,13 @@ class FaultInjector:
                 self.sim.schedule(spec.at_s, self._make_node_loss(spec))
             elif spec.kind == "link_outage":
                 # Applied by the OutageSchedule inside the link engine;
-                # scheduled here only so the fired log and telemetry see
-                # the window open.
+                # scheduled here only so the fired log sees the window
+                # open.
                 self.sim.schedule(spec.at_s, self._make_outage_marker(spec))
 
     # ------------------------------------------------------------------
     def _record(self, kind: str) -> None:
         self.fired.append((self.sim.now, kind))
-        if self.telemetry is not None:
-            self.telemetry.count(f"faults.{kind}")
         if self.events is not None:
             self.events.emit(f"fault.{kind}", self.sim.now)
 

@@ -148,7 +148,7 @@ class FaultPlan:
         return len(self.faults)
 
     def kinds(self) -> Dict[str, int]:
-        """Count of faults per kind (for reports and telemetry)."""
+        """Count of faults per kind (for reports and metrics)."""
         counts: Dict[str, int] = {}
         for spec in self.faults:
             counts[spec.kind] = counts.get(spec.kind, 0) + 1

@@ -13,10 +13,10 @@ fan-out uses the same backend's threads).
 
 Everything a worker needs travels in a picklable
 :class:`BatchCampaignConfig` — profiles and controllers are named by
-spec strings, never by object reference.  Each worker fills a
-:class:`~repro.perf.PerfTelemetry` and the parent merges them, so
-``repro bench --json`` can report per-stage timings and memo-hit
-counters across the whole pool.  Per-shard sample blocks ride home as
+spec strings, never by object reference.  With ``obs=`` each worker
+fills a deterministic :class:`~repro.obs.ObsContext` (a span per shard,
+``campaign.*`` counts, the channel memo and injected-outage counters)
+and the parent merges them.  Per-shard sample blocks ride home as
 :class:`~repro.exec.ArrayPayload` structure-of-arrays — large NumPy
 results cross the process boundary through shared memory, not pickle.
 
@@ -46,7 +46,7 @@ from ..net.batchlink import BatchWirelessLink
 from ..net.iperf import IperfSession
 from ..net.link import WirelessLink
 from ..obs import ObsContext
-from ..perf import PerfTelemetry, wall_clock
+from ..perf import wall_clock
 from ..phy.rate_control import batch_controller, scalar_controller
 from ..sim.monitor import SummaryStats
 from ..sim.random import RandomStreams
@@ -150,10 +150,9 @@ class BatchCampaignConfig:
 
 @dataclass
 class BatchCampaignResult:
-    """Pooled per-distance readings plus merged perf telemetry."""
+    """Pooled per-distance readings plus the run's wall-clock."""
 
     samples: Dict[float, List[float]]
-    telemetry: PerfTelemetry
     wall_s: float
     n_replicas: int
 
@@ -229,14 +228,17 @@ def _shard_obs(
     steps: int,
     n_replicas: int,
     sim_end_s: float,
+    counters: Dict[str, int],
 ) -> ObsContext:
     """The deterministic obs context describing one shard's work.
 
     Shared by the live worker and the store-restore path in
     :func:`run_campaign`, so a shard replayed from the persistent cache
-    contributes the identical span and ``campaign.*`` counters a live
-    shard would — merged campaign observability is invariant to cache
-    state.
+    contributes the identical span and counters a live shard would —
+    merged campaign observability is invariant to cache state.
+    ``counters`` (the channel memo and outage counts) carry
+    non-``campaign.`` names: the scalar engine has no such counts, and
+    the ``campaign.`` namespace is the scalar↔batch parity surface.
     """
     obs = ObsContext.enabled(deterministic=True)
     with obs.tracer.span(
@@ -247,6 +249,8 @@ def _shard_obs(
     obs.metrics.counter("campaign.samples").inc(
         sum(len(v) for v in samples.values())
     )
+    for name, value in counters.items():
+        obs.metrics.counter(name).inc(value)
     return obs
 
 
@@ -256,10 +260,7 @@ def _run_replica_block(
     distances_m: Tuple[float, ...],
     collect_obs: bool = False,
 ) -> Tuple[
-    Dict[float, List[float]],
-    PerfTelemetry,
-    Optional[ObsContext],
-    Dict[str, object],
+    Dict[float, List[float]], Optional[ObsContext], Dict[str, object]
 ]:
     """One pool task: a block of replicas stepped in one batched link.
 
@@ -271,11 +272,11 @@ def _run_replica_block(
     (span per shard, ``campaign.*`` metrics) shipped back to the parent
     for merging — deterministic so the merged summary is invariant to
     worker count and pool completion order.  The trailing meta dict
-    (``steps``, ``sim_end_s``) is what the persistent store needs to
-    replay the shard's observability without re-running it.
+    (``steps``, ``sim_end_s``, ``counters``) is what the persistent
+    store needs to replay the shard's observability without re-running
+    it.
     """
     n_replicas = len(distances_m)
-    telemetry = PerfTelemetry()
     streams = _shard_streams(config, shard)
     channel = BatchAerialChannel(
         profile_by_name(config.profile), n_replicas, streams
@@ -286,7 +287,6 @@ def _run_replica_block(
         streams=streams,
         epoch_s=config.epoch_s,
         outage=_shard_outages(config, shard, n_replicas),
-        telemetry=telemetry,
     )
     distance_arr = np.asarray(distances_m, dtype=float)
     interval = config.report_interval_s
@@ -315,24 +315,26 @@ def _run_replica_block(
         for distance in dict.fromkeys(distances_m):  # unique, ordered
             mask = distance_arr == distance
             samples[distance] = matrix[:, mask].ravel().tolist()
-    telemetry.count("mean_cache_hits", channel.mean_cache_hits)
-    telemetry.count("mean_cache_misses", channel.mean_cache_misses)
-    telemetry.count("shards")
+    counters = {
+        "channel.mean_cache_hits": channel.mean_cache_hits,
+        "channel.mean_cache_misses": channel.mean_cache_misses,
+    }
+    if config.faults_enabled:
+        counters["faults.outage_replica_epochs"] = link.outage_replica_epochs
     obs = (
-        _shard_obs(shard, samples, steps, n_replicas, now)
+        _shard_obs(shard, samples, steps, n_replicas, now, counters)
         if collect_obs
         else None
     )
-    return samples, telemetry, obs, {"steps": steps, "sim_end_s": now}
+    return samples, obs, {
+        "steps": steps, "sim_end_s": now, "counters": counters
+    }
 
 
 def _run_block_task(
     args: Tuple,
 ) -> Tuple[
-    Dict[float, List[float]],
-    PerfTelemetry,
-    Optional[ObsContext],
-    Dict[str, object],
+    Dict[float, List[float]], Optional[ObsContext], Dict[str, object]
 ]:
     """Unpack helper for backend ``map`` over shard tuples."""
     config, shard, distances_m, collect_obs = args
@@ -345,12 +347,12 @@ def _run_block_task_exec(args: Tuple) -> ArrayPayload:
     The per-distance reading lists are flattened into three arrays
     (``distances`` / ``lengths`` / ``values``) so the bulk of a
     shard's output can ride the execution backend's shared-memory
-    transport; telemetry, obs context and replay meta stay in the
+    transport; the obs context and replay meta stay in the
     (small) pickled ``meta`` side.  :func:`_decode_block_output`
     inverts this exactly — float64 in, float64 out — which keeps
     serial and pooled campaigns bit-identical.
     """
-    samples, telemetry, obs, meta = _run_block_task(args)
+    samples, obs, meta = _run_block_task(args)
     keys = list(samples)
     values = (
         np.concatenate(
@@ -367,13 +369,13 @@ def _run_block_task_exec(args: Tuple) -> ArrayPayload:
             ),
             "values": values,
         },
-        meta=(telemetry, obs, meta),
+        meta=(obs, meta),
     )
 
 
 def _decode_block_output(payload: ArrayPayload) -> Tuple:
-    """Rebuild the worker 4-tuple from its wire payload."""
-    telemetry, obs, meta = payload.meta
+    """Rebuild the worker 3-tuple from its wire payload."""
+    obs, meta = payload.meta
     distances = payload.arrays["distances"].tolist()
     lengths = payload.arrays["lengths"].tolist()
     values = payload.arrays["values"]
@@ -382,7 +384,7 @@ def _decode_block_output(payload: ArrayPayload) -> Tuple:
     for distance, n in zip(distances, lengths):
         samples[distance] = values[pos:pos + n].tolist()
         pos += n
-    return samples, telemetry, obs, meta
+    return samples, obs, meta
 
 
 # ----------------------------------------------------------------------
@@ -417,15 +419,11 @@ def _shard_store_key(
 
 
 def _shard_store_body(
-    samples: Dict[float, List[float]],
-    telemetry: PerfTelemetry,
-    meta: Dict[str, object],
+    samples: Dict[float, List[float]], meta: Dict[str, object]
 ) -> dict:
     return {
         "samples": [[d, readings] for d, readings in samples.items()],
-        "counters": dict(telemetry.counters),
-        "steps": meta["steps"],
-        "sim_end_s": meta["sim_end_s"],
+        **meta,
     }
 
 
@@ -437,10 +435,10 @@ def _restore_shard(
 ) -> Optional[Tuple]:
     """Rehydrate one shard's worker output from a store entry.
 
-    Returns the same 4-tuple a live worker produces (samples in the
-    worker's insertion order, replayed telemetry counters, a rebuilt
-    deterministic obs context) or ``None`` when the body is malformed —
-    the caller then just re-runs the shard.
+    Returns the same 3-tuple a live worker produces (samples in the
+    worker's insertion order, a rebuilt deterministic obs context, the
+    replay meta with its counters) or ``None`` when the body is
+    malformed — the caller then just re-runs the shard.
     """
     if body is None:
         return None
@@ -456,15 +454,16 @@ def _restore_shard(
         }
     except (KeyError, TypeError, ValueError):
         return None
-    telemetry = PerfTelemetry()
-    for name, value in counters.items():
-        telemetry.count(name, value)
     obs = (
-        _shard_obs(shard, samples, steps, len(distances_m), sim_end_s)
+        _shard_obs(
+            shard, samples, steps, len(distances_m), sim_end_s, counters
+        )
         if collect_obs
         else None
     )
-    return samples, telemetry, obs, {"steps": steps, "sim_end_s": sim_end_s}
+    return samples, obs, {
+        "steps": steps, "sim_end_s": sim_end_s, "counters": counters
+    }
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +550,7 @@ def run_campaign(
     if store is not None and live:
         store.put_many(
             {
-                keys[task[1]]: _shard_store_body(out[0], out[1], out[3])
+                keys[task[1]]: _shard_store_body(out[0], out[2])
                 for task, out in zip(tasks, live)
             }
         )
@@ -562,12 +561,11 @@ def run_campaign(
         by_shard[task[1]] = out
     outputs = [by_shard[shard] for shard, _ in shards]
     samples: Dict[float, List[float]] = {}
-    telemetry = PerfTelemetry.merged(tel for _, tel, _, _ in outputs)
-    for shard_samples, _, _, _ in outputs:
+    for shard_samples, _, _ in outputs:
         for distance, readings in shard_samples.items():
             samples.setdefault(distance, []).extend(readings)
     if obs is not None:
-        obs.merge(ObsContext.merged(part for _, _, part, _ in outputs))
+        obs.merge(ObsContext.merged(part for _, part, _ in outputs))
         _record_campaign_totals(obs, config)
         if store is not None:
             warm = sum(
@@ -588,7 +586,6 @@ def run_campaign(
             )
     return BatchCampaignResult(
         samples=samples,
-        telemetry=telemetry,
         wall_s=wall_clock() - t_start,
         n_replicas=config.n_replicas,
     )
@@ -659,8 +656,6 @@ def run_scalar_reference(
             run_span.annotate(shards=1)
             run_span.end_sim(config.duration_s)
             run_span.__exit__(None, None, None)
-    telemetry = PerfTelemetry()
-    telemetry.count("replica_epochs", epochs)
     if obs is not None:
         if obs.metrics is not None:
             obs.metrics.counter("campaign.epochs").inc(epochs)
@@ -670,7 +665,6 @@ def run_scalar_reference(
         _record_campaign_totals(obs, config)
     return BatchCampaignResult(
         samples=samples,
-        telemetry=telemetry,
         wall_s=wall_clock() - t_start,
         n_replicas=config.n_replicas,
     )

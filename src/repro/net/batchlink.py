@@ -34,7 +34,6 @@ import numpy as np
 from ..channel.channel import BatchAerialChannel
 from ..faults.outage import BatchOutageSchedule
 from ..mac.aggregation import AmpduConfig, AmpduLink
-from ..perf import PerfTelemetry, wall_clock
 from ..phy.error import ErrorModel
 from ..phy.mcs import MCS_TABLE
 from ..phy.phy80211n import PhyConfig
@@ -95,7 +94,6 @@ class BatchWirelessLink:
         epoch_s: float = 0.02,
         stream_name: str = "link",
         outage: Optional[BatchOutageSchedule] = None,
-        telemetry: Optional[PerfTelemetry] = None,
     ) -> None:
         if epoch_s <= 0:
             raise ValueError("epoch_s must be positive")
@@ -124,7 +122,8 @@ class BatchWirelessLink:
             if outage.is_empty:
                 outage = None
         self.outage = outage
-        self.telemetry = telemetry
+        #: Replica-epochs spent blacked out by injected outages so far.
+        self.outage_replica_epochs = 0
         self._oracle_hints = hasattr(controller, "expected_goodput_bps")
         # Per-MCS lookup tables built with the scalar MAC/PHY code, so
         # batched epochs charge exactly the scalar airtimes.
@@ -178,14 +177,8 @@ class BatchWirelessLink:
             return self._step_subdivided(
                 now_s, distance_m, relative_speed_mps, dt, backlog_bytes
             )
-        tel = self.telemetry
-        # Wall-clock reads are perf instrumentation only (charged to
-        # PerfTelemetry stages); simulation behaviour never depends on
-        # them, hence the sanctioned repro.perf.wall_clock.
-        clock = wall_clock
         backlog = self._as_backlog(backlog_bytes)
 
-        t0 = clock() if tel is not None else 0.0
         snr = self.channel.sample_snr_db_batch(
             now_s, distance_m, relative_speed_mps
         )
@@ -194,20 +187,8 @@ class BatchWirelessLink:
             if self._oracle_hints
             else None
         )
-        if tel is not None:
-            t1 = clock()
-            tel.add_time("channel", t1 - t0)
-            t0 = t1
         mcs = self.controller.select(now_s, snr_hint_db=hint)
-        if tel is not None:
-            t1 = clock()
-            tel.add_time("control", t1 - t0)
-            t0 = t1
         per = self.error_model.per_array(snr, mcs, self._subframe_bytes)
-        if tel is not None:
-            t1 = clock()
-            tel.add_time("error", t1 - t0)
-            t0 = t1
 
         n_sub = self._nsub_table[mcs]
         active = None
@@ -222,7 +203,9 @@ class BatchWirelessLink:
         out = None
         if self.outage is not None:
             out = self.outage.is_out(now_s)
-            if not out.any():
+            if out.any():
+                self.outage_replica_epochs += int(out.sum())
+            else:
                 out = None
         sending = active
         if out is not None:
@@ -239,10 +222,6 @@ class BatchWirelessLink:
             )
         if sending is not None:
             total_sub = np.where(sending, total_sub, 0)
-        if tel is not None:
-            t1 = clock()
-            tel.add_time("mac", t1 - t0)
-            t0 = t1
 
         p = np.maximum(0.0, 1.0 - per)
         if sending is None:
@@ -256,18 +235,8 @@ class BatchWirelessLink:
         payload = delivered * self._app_payload_bytes
         if backlog is not None:
             payload = np.minimum(payload, np.maximum(backlog, 0))
-        if tel is not None:
-            t1 = clock()
-            tel.add_time("delivery", t1 - t0)
-            t0 = t1
 
         self.controller.feedback(now_s, mcs, total_sub, delivered)
-        if tel is not None:
-            tel.add_time("feedback", clock() - t0)
-            tel.count("epochs")
-            tel.count("replica_epochs", self.n_replicas)
-            if out is not None:
-                tel.count("faults.outage_replica_epochs", int(out.sum()))
 
         result_air = np.minimum(dt, n_bursts * airtime)
         if sending is not None:

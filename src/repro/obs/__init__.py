@@ -1,7 +1,6 @@
 """Observability layer: tracing, metrics, events and run manifests.
 
-This package is the structured successor of the ad-hoc instrumentation
-that grew around :class:`repro.perf.PerfTelemetry`.  Four pieces, all
+The one instrumentation layer of the package.  Four pieces, all
 dependency-free, picklable and deterministically mergeable:
 
 * :class:`Tracer` / :class:`Span` — nested span tracing with both
@@ -12,12 +11,12 @@ dependency-free, picklable and deterministically mergeable:
 * :class:`EventLog` — bounded structured event record (faults,
   retries, Eq. 2 decision points, kernel drains);
 * :class:`RunManifest` — the versioned JSON record of a run (config,
-  seeds, git rev, outputs, telemetry, metrics, trace, events) shared
+  seeds, git rev, outputs, metrics, trace, events) shared
   by every CLI and library entry point.
 
 :class:`ObsContext` bundles the live sinks into the single optional
 handle hot paths accept; the zero-cost rule is ``if obs is not None``
-everywhere, mirroring the telemetry discipline.  See
+everywhere.  See
 ``docs/OBSERVABILITY.md`` for the span taxonomy, metric naming rules
 and manifest schema.
 """

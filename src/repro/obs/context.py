@@ -3,12 +3,11 @@
 An :class:`ObsContext` bundles the three observability sinks — a
 :class:`~repro.obs.trace.Tracer`, a
 :class:`~repro.obs.metrics.MetricsRegistry` and an
-:class:`~repro.obs.events.EventLog` — plus an optional
-:class:`~repro.perf.PerfTelemetry`, so hot paths take a single
+:class:`~repro.obs.events.EventLog` — so hot paths take a single
 ``obs: Optional[ObsContext]`` parameter instead of three.
 
-The zero-cost discipline is identical to the telemetry one: every hook
-hides behind ``if obs is not None``; a disabled run executes the exact
+Instrumentation is zero-cost when off: every hook hides behind
+``if obs is not None``; a disabled run executes the exact
 pre-observability instruction stream.
 
 Contexts are picklable (campaign workers build one per process shard)
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ..perf import PerfTelemetry
 from .events import EventLog
 from .metrics import MetricsRegistry
 from .trace import Tracer
@@ -30,27 +28,21 @@ __all__ = ["ObsContext"]
 
 
 class ObsContext:
-    """Tracer + metrics + events (+ optional telemetry), one handle."""
+    """Tracer + metrics + events, one handle."""
 
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         events: Optional[EventLog] = None,
-        telemetry: Optional[PerfTelemetry] = None,
     ) -> None:
         self.tracer = tracer
         self.metrics = metrics
         self.events = events
-        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
     @classmethod
-    def enabled(
-        cls,
-        deterministic: bool = False,
-        telemetry: Optional[PerfTelemetry] = None,
-    ) -> "ObsContext":
+    def enabled(cls, deterministic: bool = False) -> "ObsContext":
         """A context with all three sinks live.
 
         ``deterministic=True`` builds the tracer with ``clock=None`` so
@@ -61,7 +53,6 @@ class ObsContext:
             tracer=Tracer(clock=None) if deterministic else Tracer(),
             metrics=MetricsRegistry(),
             events=EventLog(),
-            telemetry=telemetry,
         )
 
     @property
@@ -92,10 +83,6 @@ class ObsContext:
             if self.events is None:
                 self.events = EventLog()
             self.events.merge(other.events)
-        if other.telemetry is not None:
-            if self.telemetry is None:
-                self.telemetry = PerfTelemetry()
-            self.telemetry.merge(other.telemetry)
         return self
 
     @classmethod
@@ -115,7 +102,6 @@ class ObsContext:
                 ("tracer", self.tracer),
                 ("metrics", self.metrics),
                 ("events", self.events),
-                ("telemetry", self.telemetry),
             )
             if sink is not None
         ]

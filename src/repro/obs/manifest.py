@@ -3,8 +3,8 @@
 A :class:`RunManifest` is the durable answer to "*why did this run
 produce these numbers?*": it captures the configuration echo, the
 seeds, the git revision of the checkout, the outputs, and — when
-observability was enabled — the telemetry, metrics, trace summary and
-event log of the run.  Every entry point emits one:
+observability was enabled — the metrics, trace summary and event log
+of the run.  Every entry point emits one:
 
 * ``repro solve --metrics-out FILE`` writes one;
 * ``repro bench --json`` and ``repro chaos --json`` *are* one (their
@@ -103,7 +103,8 @@ class RunManifest:
     git_rev: Optional[str] = None
     #: The run's outputs (JSON-ready; shape depends on ``kind``).
     outputs: Dict[str, object] = field(default_factory=dict)
-    #: ``PerfTelemetry.to_dict()`` of the run, when collected.
+    #: Retired slot kept for schema-v1 compatibility: :meth:`build`
+    #: never fills it, so new manifests serialise it as ``null``.
     telemetry: Optional[Dict[str, object]] = None
     #: ``MetricsRegistry.to_dict()`` of the run, when collected.
     metrics: Optional[Dict[str, object]] = None
@@ -125,23 +126,19 @@ class RunManifest:
         seeds: Optional[Dict[str, int]] = None,
         outputs: Optional[Dict[str, object]] = None,
         obs=None,
-        telemetry=None,
         git_rev: Optional[str] = "auto",
     ) -> "RunManifest":
         """Assemble a manifest, serialising any obs context handed in.
 
-        ``obs`` is an :class:`repro.obs.ObsContext` (or None);
-        ``telemetry`` a :class:`repro.perf.PerfTelemetry` (or None) —
-        both are snapshotted into plain dicts here.  ``git_rev="auto"``
+        ``obs`` is an :class:`repro.obs.ObsContext` (or None), whose
+        sinks are snapshotted into plain dicts here.  ``git_rev="auto"``
         resolves the enclosing checkout; pass ``None`` (or a string) to
         pin it explicitly, e.g. for golden fixtures.
         """
         if git_rev == "auto":
             git_rev = git_revision()
-        tel = telemetry
         metrics = trace = events = None
         if obs is not None:
-            tel = tel if tel is not None else obs.telemetry
             if obs.metrics is not None and len(obs.metrics):
                 metrics = obs.metrics.to_dict()
             if obs.tracer is not None and len(obs.tracer):
@@ -158,7 +155,6 @@ class RunManifest:
             seeds={k: int(v) for k, v in (seeds or {}).items()},
             git_rev=git_rev,
             outputs=dict(outputs or {}),
-            telemetry=tel.to_dict() if tel is not None else None,
             metrics=metrics,
             trace=trace,
             events=events,

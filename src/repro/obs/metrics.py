@@ -1,7 +1,6 @@
 """Typed metrics registry: counters, gauges, fixed-bucket histograms.
 
-:class:`MetricsRegistry` is the structured successor of the ad-hoc
-``counters`` dict on :class:`repro.perf.PerfTelemetry`.  Three
+:class:`MetricsRegistry` holds every named number a run reports.  Three
 instrument types, each *typed by name* (re-registering a name as a
 different type raises):
 
@@ -17,10 +16,7 @@ different type raises):
 Metric names are dotted paths (``engine.cache.hits``,
 ``campaign.throughput_mbps``, ``faults.link_outage``); see
 ``docs/OBSERVABILITY.md`` for the naming conventions.  Registries are
-picklable and mergeable like :class:`~repro.perf.PerfTelemetry`, and
-:meth:`MetricsRegistry.absorb_telemetry` folds an existing telemetry
-object in — carrying both ``stage_seconds`` *and* ``stage_calls``
-forward, so nothing the perf layer measured is lost in the migration.
+picklable and mergeable, so campaign shards combine deterministically.
 """
 
 from __future__ import annotations
@@ -251,24 +247,6 @@ class MetricsRegistry:
         return total
 
     # ------------------------------------------------------------------
-    def absorb_telemetry(self, telemetry) -> "MetricsRegistry":
-        """Fold a :class:`repro.perf.PerfTelemetry` into the registry.
-
-        Stage wall-clock becomes ``perf.stage.<name>.seconds`` (a float
-        counter: additive across merges), stage call counts become
-        ``perf.stage.<name>.calls`` — the ``stage_calls`` carried by
-        ``PerfTelemetry.from_dict`` round-trips survive intact — and
-        event counters become ``perf.<name>``.
-        """
-        for stage, seconds in telemetry.stage_seconds.items():
-            self.counter(f"perf.stage.{stage}.seconds").inc(seconds)
-        for stage, calls in telemetry.stage_calls.items():
-            self.counter(f"perf.stage.{stage}.calls").inc(calls)
-        for name, value in telemetry.counters.items():
-            self.counter(f"perf.{name}").inc(value)
-        return self
-
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable report, grouped by instrument type."""
         out: Dict[str, Dict[str, object]] = {
@@ -311,8 +289,8 @@ def metric_name_mismatches(
     the two registries expose the same metric surface.  ``prefix``
     restricts the comparison to one namespace (e.g. ``"campaign."``),
     which is how the scalar↔batch campaign parity test ignores metrics
-    that legitimately exist on only one side (cache stats, perf
-    stages).
+    that legitimately exist on only one side (store and channel-memo
+    counters).
     """
     mismatches: List[str] = []
     kinds_l, kinds_r = left.kinds(), right.kinds()

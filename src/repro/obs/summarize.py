@@ -2,8 +2,8 @@
 
 Turns a :class:`~repro.obs.manifest.RunManifest` (or its JSON file)
 into a short, stable text report: identity line, top trace spans by
-wall (or count, for deterministic traces), metric totals, event kinds
-and telemetry stages.  Line order is deterministic so the output can be
+wall (or count, for deterministic traces), metric totals and event
+kinds.  Line order is deterministic so the output can be
 diffed across runs.
 """
 
@@ -87,14 +87,6 @@ def summarize_manifest(manifest: RunManifest, top: int = 10) -> str:
         lines.append(f"events: {len(manifest.events)} recorded")
         for kind in sorted(kinds):
             lines.append(f"  event {kind} x{kinds[kind]}")
-
-    if manifest.telemetry:
-        stages = manifest.telemetry.get("stages", {})
-        total = manifest.telemetry.get("total_stage_seconds", 0.0)
-        lines.append(
-            f"telemetry: {len(stages)} stages, "
-            f"total_stage_seconds={_fmt(total)}"
-        )
 
     if manifest.outputs:
         keys = ", ".join(sorted(manifest.outputs))

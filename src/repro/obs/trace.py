@@ -15,16 +15,14 @@ clocks:
   instrumented code (``sim_start_s`` at entry; ``sim_end_s`` set on the
   handle before exit).
 
-Like :class:`repro.perf.PerfTelemetry`, tracers are deliberately
-dependency-free, picklable (campaign workers fill one per process
+Tracers are deliberately dependency-free, picklable (campaign workers fill one per process
 shard) and mergeable: :meth:`Tracer.merge` concatenates span lists with
 stable id remapping, and :meth:`Tracer.summary` aggregates by span name
 so the merged summary is independent of how spans were sharded across
 workers (the worker-count-invariance contract, pinned by the tests).
 
 The instrumented code pays nothing when tracing is off: every hook
-hides behind an ``if obs is not None`` guard, mirroring the
-``PerfTelemetry`` discipline.
+hides behind an ``if obs is not None`` guard.
 """
 
 from __future__ import annotations

@@ -1,22 +1,15 @@
-"""Lightweight performance telemetry for the simulation engines.
+"""The sanctioned clocks for performance instrumentation.
 
-:class:`PerfTelemetry` accumulates wall-clock time per pipeline stage
-and named event counters (epochs stepped, memo-cache hits, ...).  It is
-deliberately dependency-free and picklable so campaign workers can fill
-one per process shard and the parent can :meth:`merge` them into a
-single report for ``repro bench --json``.
-
-The instrumented code pays nothing when telemetry is off: hot loops
-take an ``Optional[PerfTelemetry]`` and guard every ``perf_counter``
-pair behind an ``if tel is not None``.
+Stage timing and counters live in :mod:`repro.obs`; this module only
+names the two clocks every instrumented call site reads, so each
+wall-clock read stays greppable.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Optional
 
-__all__ = ["PerfTelemetry", "StageTimer", "unix_clock", "wall_clock"]
+__all__ = ["unix_clock", "wall_clock"]
 
 #: The one sanctioned wall-clock for performance instrumentation.
 #: Everything outside :mod:`repro.perf` and :mod:`repro.obs` must read
@@ -32,115 +25,3 @@ wall_clock = time.perf_counter
 #: directly — the stamp happens once, at the CLI boundary, so
 #: deterministic pipelines stay byte-identical below it.
 unix_clock = time.time
-
-
-class PerfTelemetry:
-    """Per-stage wall-clock accumulator plus named event counters."""
-
-    def __init__(self) -> None:
-        self.stage_seconds: Dict[str, float] = {}
-        self.stage_calls: Dict[str, int] = {}
-        self.counters: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    def add_time(self, stage: str, seconds: float) -> None:
-        """Charge ``seconds`` of wall-clock to ``stage``."""
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-        self.stage_calls[stage] = self.stage_calls.get(stage, 0) + 1
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Increment the ``name`` counter by ``n``."""
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def stage(self, name: str) -> "StageTimer":
-        """Context manager charging its block's wall-clock to ``name``."""
-        return StageTimer(self, name)
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "PerfTelemetry") -> "PerfTelemetry":
-        """Fold another telemetry object into this one (in place)."""
-        for stage, seconds in other.stage_seconds.items():
-            self.stage_seconds[stage] = (
-                self.stage_seconds.get(stage, 0.0) + seconds
-            )
-        for stage, calls in other.stage_calls.items():
-            self.stage_calls[stage] = self.stage_calls.get(stage, 0) + calls
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        return self
-
-    @classmethod
-    def merged(cls, parts: Iterable[Optional["PerfTelemetry"]]) -> "PerfTelemetry":
-        """A fresh telemetry object holding the sum of ``parts``."""
-        total = cls()
-        for part in parts:
-            if part is not None:
-                total.merge(part)
-        return total
-
-    # ------------------------------------------------------------------
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-serialisable report (stages sorted by time, descending)."""
-        stages = {
-            name: {
-                "seconds": self.stage_seconds[name],
-                "calls": self.stage_calls.get(name, 0),
-            }
-            for name in sorted(
-                self.stage_seconds, key=self.stage_seconds.get, reverse=True
-            )
-        }
-        return {
-            "stages": stages,
-            "counters": dict(sorted(self.counters.items())),
-            "total_stage_seconds": sum(self.stage_seconds.values()),
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Alias of :meth:`as_dict` (the uniform serialisation name)."""
-        return self.as_dict()
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "PerfTelemetry":
-        """Inverse of :meth:`as_dict`: rebuild telemetry from a report.
-
-        Lets consumers reload the JSON artifacts emitted by ``repro
-        bench --json`` / ``repro lint --json`` and :meth:`merge` them
-        across runs.
-        """
-        telemetry = cls()
-        stages = payload.get("stages", {})
-        if isinstance(stages, dict):
-            for name, entry in stages.items():
-                telemetry.stage_seconds[name] = float(entry["seconds"])
-                telemetry.stage_calls[name] = int(entry.get("calls", 0))
-        counters = payload.get("counters", {})
-        if isinstance(counters, dict):
-            for name, value in counters.items():
-                telemetry.counters[name] = int(value)
-        return telemetry
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        total = sum(self.stage_seconds.values())
-        return (
-            f"PerfTelemetry(stages={len(self.stage_seconds)}, "
-            f"total={total:.3f}s, counters={self.counters})"
-        )
-
-
-class StageTimer:
-    """``with telemetry.stage('channel'):`` wall-clock charging."""
-
-    def __init__(self, telemetry: PerfTelemetry, name: str) -> None:
-        self._telemetry = telemetry
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "StageTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._telemetry.add_time(
-            self._name, time.perf_counter() - self._start
-        )

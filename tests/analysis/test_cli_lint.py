@@ -49,10 +49,13 @@ def test_json_report_shape(capsys):
     assert payload["counts"]["errors"] == 0
     assert payload["counts"]["warnings"] == 0
     assert payload["counts"]["parity_pairs"] >= 5
-    stages = payload["telemetry"]["stages"]
-    assert "parse" in stages
-    assert "check:RL105" in stages
-    assert "check:RL108" in stages
+    trace = payload["trace"]
+    for span in ("lint.walk", "lint.cache", "lint.parse", "lint.check.RL105",
+                 "lint.check.RL108", "lint.filter"):
+        assert trace[span]["count"] == 1
+    counters = payload["metrics"]["counters"]
+    assert counters["lint.files"] == payload["checked_files"]
+    assert counters["lint.findings"] == payload["counts"]["findings"]
 
 
 def test_seeded_violations_exit_nonzero(bad_tree, capsys):

@@ -26,9 +26,10 @@ TREE = {
 
 
 def _report_payload(report):
-    """The comparable report body (telemetry carries wall-clock)."""
+    """The comparable report body (the trace carries wall-clock)."""
     payload = report.to_dict()
-    payload.pop("telemetry")
+    payload.pop("metrics")
+    payload.pop("trace")
     return payload
 
 
@@ -50,12 +51,12 @@ def store(tmp_path):
 class TestIncrementalCache:
     def test_cold_then_warm_identical(self, tree, store):
         cold = run_lint(root=tree, use_baseline=False, cache=store)
-        assert cold.telemetry.counters["lint.cache.misses"] == len(TREE)
-        assert cold.telemetry.counters["lint.cache.hits"] == 0
+        assert cold.obs.metrics.value("lint.cache.misses") == len(TREE)
+        assert cold.obs.metrics.value("lint.cache.hits") == 0
 
         warm = run_lint(root=tree, use_baseline=False, cache=store)
-        assert warm.telemetry.counters["lint.cache.hits"] == len(TREE)
-        assert warm.telemetry.counters["lint.cache.misses"] == 0
+        assert warm.obs.metrics.value("lint.cache.hits") == len(TREE)
+        assert warm.obs.metrics.value("lint.cache.misses") == 0
 
         assert _report_payload(warm) == _report_payload(cold)
         assert sarif_json(cold, uri_prefix="") == sarif_json(
@@ -68,28 +69,28 @@ class TestIncrementalCache:
         target.write_text(target.read_text() + "\nEXTRA = 1\n")
 
         warm = run_lint(root=tree, use_baseline=False, cache=store)
-        assert warm.telemetry.counters["lint.cache.misses"] == 1
-        assert warm.telemetry.counters["lint.cache.hits"] == len(TREE) - 1
+        assert warm.obs.metrics.value("lint.cache.misses") == 1
+        assert warm.obs.metrics.value("lint.cache.hits") == len(TREE) - 1
 
     def test_refresh_ignores_cached_records(self, tree, store):
         run_lint(root=tree, use_baseline=False, cache=store)
         refreshed = run_lint(
             root=tree, use_baseline=False, cache=store, refresh=True
         )
-        assert refreshed.telemetry.counters["lint.cache.misses"] == len(TREE)
+        assert refreshed.obs.metrics.value("lint.cache.misses") == len(TREE)
 
     def test_cache_disabled_always_misses(self, tree):
         for _ in range(2):
             report = run_lint(root=tree, use_baseline=False, cache=False)
-            assert report.telemetry.counters["lint.cache.misses"] == len(TREE)
-            assert report.telemetry.counters["lint.cache.hits"] == 0
+            assert report.obs.metrics.value("lint.cache.misses") == len(TREE)
+            assert report.obs.metrics.value("lint.cache.hits") == 0
 
     def test_rule_set_is_part_of_the_key(self, tree, store):
         run_lint(root=tree, use_baseline=False, cache=store, rules=["RL101"])
         other = run_lint(
             root=tree, use_baseline=False, cache=store, rules=["RL102"]
         )
-        assert other.telemetry.counters["lint.cache.misses"] == len(TREE)
+        assert other.obs.metrics.value("lint.cache.misses") == len(TREE)
 
     def test_warm_run_finds_what_cold_found(self, tree, store):
         cold = run_lint(root=tree, use_baseline=False, cache=store)
@@ -115,7 +116,7 @@ class TestParallel:
         wide = run_lint(use_baseline=False, cache=False, jobs=4)
         assert _report_payload(wide) == _report_payload(serial)
         assert (
-            wide.telemetry.counters.get("lint.parallel.files", 0)
+            wide.obs.metrics.value("lint.parallel.files")
             == wide.checked_files
         )
 

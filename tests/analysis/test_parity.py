@@ -21,7 +21,7 @@ SCALAR = textwrap.dedent(
 BATCH = textwrap.dedent(
     """
     class BatchLink:
-        def __init__(self, n_replicas, telemetry=None):
+        def __init__(self, n_replicas, parallel=None):
             self.n_replicas = n_replicas
 
         def step(self, now_s, payload_bytes):

@@ -15,6 +15,7 @@ from repro.api import (
     sweep,
 )
 from repro.core.throughput import TableThroughput
+from repro.obs import ObsContext
 
 from .scipy_reference import scalar_reference
 
@@ -148,6 +149,18 @@ class TestNonConcave:
             scenario.data_bits,
         )
         assert scalar.utility >= self.FLOORS[step]
+
+    def test_rescan_rows_counted(self):
+        scenario = quadrocopter_scenario().with_(throughput=self.TABLE)
+        engine = fresh_engine(cache_size=0)
+        obs = ObsContext.enabled(deterministic=True)
+        engine.solve_batch([airplane_scenario(), scenario], obs=obs)
+        assert obs.metrics.value("engine.rescan_rows") == 1
+        # Concave-only batches emit no counter, keeping their manifests
+        # free of it.
+        plain = ObsContext.enabled(deterministic=True)
+        engine.solve_batch([airplane_scenario()], obs=plain)
+        assert "engine.rescan_rows" not in plain.metrics
 
 
 class TestBatchResult:

@@ -34,6 +34,11 @@ def _fragile(task):
     return value * 3
 
 
+def _fragile_where(task):
+    """:func:`_fragile`, also reporting which process ran the task."""
+    return _fragile(task), os.getpid()
+
+
 class TestMap:
     def test_serial_map_preserves_order(self):
         backend = ExecBackend(max_workers=1)
@@ -127,14 +132,20 @@ class TestCrashRecovery:
         try:
             tasks = [(flag, v) for v in range(4)]
             results, report = backend.map(
-                _fragile, tasks, parallel=True, with_report=True
+                _fragile_where, tasks, parallel=True, with_report=True
             )
             # The first chunk killed the pool (consuming the flag on
             # the way down); with a zero respawn budget every
             # undelivered chunk re-ran in the parent, where the flag is
             # gone — degraded, but exact.
-            assert results == [v * 3 for v in range(4)]
+            assert [value for value, _ in results] == [v * 3 for v in range(4)]
             assert report.respawns == 1
+            # Every task ran exactly once: in a pool worker, or in the
+            # parent and counted as serial.
+            delivered = sum(pid != os.getpid() for _, pid in results)
+            assert delivered + backend.counters["exec.serial_tasks"] == len(
+                tasks
+            )
         finally:
             backend.shutdown()
 

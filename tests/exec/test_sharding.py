@@ -1,7 +1,7 @@
 """The adaptive shard planner: chunk sizing, cost model, neutrality."""
 
-from repro.exec import ShardPlanner
-from repro.perf import PerfTelemetry
+from repro.exec import ShardPlanner, decode_result
+from repro.exec.backend import _run_chunk
 
 
 class TestChunkSizing:
@@ -54,11 +54,13 @@ class TestCostModel:
         )
 
     def test_telemetry_seeding(self):
+        """A pool chunk reports its own wall-clock, which seeds the model."""
+        seconds, outs = _run_chunk(abs, [-1, 2, -3, 4])
+        assert [decode_result(o) for o in outs] == [1, 2, 3, 4]
+        assert seconds >= 0.0
         planner = ShardPlanner()
-        telemetry = PerfTelemetry()
-        telemetry.add_time("exec.chunk", 2.0)
-        planner.observe_telemetry("f", 20, telemetry)
-        assert planner.item_seconds("f") == 0.1
+        planner.observe("f", 4, seconds)
+        assert planner.item_seconds("f") == seconds / 4
 
     def test_bad_observations_ignored(self):
         planner = ShardPlanner()

@@ -16,6 +16,7 @@ from repro.measurements.batch import (
     _shard_outages,
     run_campaign,
 )
+from repro.obs import ObsContext
 
 FAULTY = BatchCampaignConfig(
     distances_m=(80.0, 240.0),
@@ -107,5 +108,6 @@ class TestWorkerCountInvariance:
         assert stormy[80.0] < clean[80.0]
 
     def test_outage_epochs_counted(self):
-        result = run_campaign(FAULTY, parallel=False)
-        assert result.telemetry.counters["faults.outage_replica_epochs"] > 0
+        obs = ObsContext.enabled(deterministic=True)
+        run_campaign(FAULTY, parallel=False, obs=obs)
+        assert obs.metrics.value("faults.outage_replica_epochs") > 0

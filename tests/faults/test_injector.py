@@ -14,7 +14,7 @@ from repro.faults import (
     sample_crash_distance_m,
 )
 from repro.geo import GeoPoint, GpsReceiver, LocalFrame
-from repro.perf import PerfTelemetry
+from repro.obs import EventLog
 from repro.sim import RandomStreams, Simulator
 
 
@@ -41,8 +41,8 @@ class TestFaultInjector:
             .add(FaultSpec("battery_brownout", 6.0, magnitude=0.5))
         )
         sim = Simulator()
-        tel = PerfTelemetry()
-        injector = FaultInjector(sim, plan, telemetry=tel)
+        events = EventLog()
+        injector = FaultInjector(sim, plan, events=events)
         injector.arm()
         sim.run()
         assert injector.fired == [
@@ -50,9 +50,11 @@ class TestFaultInjector:
             (4.0, "node_loss"),
             (6.0, "battery_brownout"),
         ]
-        assert tel.counters["faults.link_outage"] == 1
-        assert tel.counters["faults.node_loss"] == 1
-        assert tel.counters["faults.battery_brownout"] == 1
+        assert events.kinds() == {
+            "fault.battery_brownout": 1,
+            "fault.link_outage": 1,
+            "fault.node_loss": 1,
+        }
 
     def test_node_loss_fires_once(self):
         plan = FaultPlan(

@@ -8,6 +8,7 @@ from repro.measurements.batch import (
     run_campaign,
     run_scalar_reference,
 )
+from repro.obs import ObsContext
 
 SMALL = BatchCampaignConfig(
     distances_m=(80.0, 240.0),
@@ -75,16 +76,19 @@ class TestRunCampaign:
         assert medians[80.0] > medians[240.0] > 0.0
 
     def test_telemetry_merged_across_shards(self):
-        result = run_campaign(SMALL, parallel=False)
-        tel = result.telemetry
-        assert tel.counters["shards"] == 3
+        obs = ObsContext.enabled(deterministic=True)
+        run_campaign(SMALL, parallel=False, obs=obs)
+        assert obs.tracer.summary()["campaign.shard"]["count"] == 3
+        counters = obs.metrics.to_dict()["counters"]
         epochs_per_shard = int(round(SMALL.duration_s / SMALL.epoch_s))
-        assert tel.counters["epochs"] == 3 * epochs_per_shard
-        assert tel.counters["replica_epochs"] == 12 * epochs_per_shard
-        assert tel.counters["mean_cache_misses"] >= 1
-        assert tel.counters["mean_cache_hits"] > tel.counters["mean_cache_misses"]
-        for stage in ("channel", "error", "feedback"):
-            assert tel.stage_seconds[stage] > 0.0
+        assert counters["campaign.epochs"] == 12 * epochs_per_shard
+        assert counters["channel.mean_cache_misses"] >= 1
+        assert (
+            counters["channel.mean_cache_hits"]
+            > counters["channel.mean_cache_misses"]
+        )
+        # Fault-free campaigns report no outage counter at all.
+        assert "faults.outage_replica_epochs" not in counters
 
     def test_stats_summary(self):
         result = run_campaign(SMALL, parallel=False)
@@ -106,13 +110,14 @@ class TestScalarReference:
             assert scalar[key] == pytest.approx(batched[key], rel=0.10)
 
     def test_replica_override_shrinks_workload(self):
-        result = run_scalar_reference(SMALL, n_replicas=2)
+        obs = ObsContext.enabled(deterministic=True)
+        result = run_scalar_reference(SMALL, n_replicas=2, obs=obs)
         assert result.n_replicas == 2
         assert all(
             len(result.samples[k]) == 2 * int(SMALL.duration_s)
             for k in result.keys()
         )
         epochs_per_replica = int(round(SMALL.duration_s / SMALL.epoch_s))
-        assert result.telemetry.counters["replica_epochs"] == (
+        assert obs.metrics.value("campaign.epochs") == (
             2 * 2 * epochs_per_replica
         )

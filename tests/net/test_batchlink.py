@@ -190,24 +190,20 @@ class TestBatchSemantics:
         # The scalar run is one draw from the replica distribution.
         assert abs(scalar_total - mean) < 4 * batch_totals.std() + 1e-9
 
-    def test_telemetry_stages_recorded(self):
-        from repro.perf import PerfTelemetry
+    def test_outage_replica_epochs_counted(self):
+        from repro.faults import BatchOutageSchedule
 
         streams = RandomStreams(3)
-        telemetry = PerfTelemetry()
         link = BatchWirelessLink(
             BatchAerialChannel(airplane_profile(), 2, streams),
             batch_controller("arf", 2),
             streams=streams,
-            telemetry=telemetry,
+            outage=BatchOutageSchedule([[(0.05, 0.11)], []]),
         )
         for i in range(10):
             link.step(i * link.epoch_s, distance_m=100.0)
-        assert telemetry.counters["epochs"] == 10
-        assert telemetry.counters["replica_epochs"] == 20
-        for stage in ("channel", "control", "error", "mac", "delivery", "feedback"):
-            assert telemetry.stage_seconds[stage] >= 0.0
-            assert telemetry.stage_calls[stage] == 10
+        # Replica 0 is out at t = 0.06, 0.08 and 0.10; replica 1 never.
+        assert link.outage_replica_epochs == 3
 
     def test_expected_goodput_matches_scalar_shape(self):
         _, batched = make_pair("oracle", n_replicas=4)

@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from repro.obs import MetricsRegistry, metric_name_mismatches
-from repro.perf import PerfTelemetry
 
 
 class TestCounter:
@@ -107,19 +106,6 @@ class TestMerge:
         merged = MetricsRegistry.merged([left, right])
         assert merged.value("only.left") == 1
         assert merged.value("only.right") == 2
-
-
-class TestTelemetryAbsorption:
-    def test_stages_and_counters_imported(self):
-        telemetry = PerfTelemetry()
-        telemetry.add_time("channel", 0.25)
-        telemetry.add_time("channel", 0.75)
-        telemetry.count("replica_epochs", 40)
-        metrics = MetricsRegistry()
-        metrics.absorb_telemetry(telemetry)
-        assert metrics.value("perf.stage.channel.seconds") == pytest.approx(1.0)
-        assert metrics.value("perf.stage.channel.calls") == 2
-        assert metrics.value("perf.replica_epochs") == 40
 
 
 class TestNameParity:

@@ -1,11 +1,13 @@
 """The cache= knob across the public API: sweep, campaign, chaos."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.api import FaultPlan, chaos, scenario, solve, sweep
 from repro.measurements.batch import BatchCampaignConfig, run_campaign
 from repro.obs import ObsContext
-from repro.perf import PerfTelemetry
 from repro.store import ResultStore
 
 
@@ -67,6 +69,27 @@ class TestCampaignCache:
         warm = warm_obs.metrics.to_dict()["counters"]
         assert warm["store.points.warm"] == 2 * 4  # every case restored
 
+        # A store filled by an obs-free run still replays the channel
+        # and fault counters an all-live obs run reports.
+        faulty = dataclasses.replace(
+            self.CONFIG, outage_rate_per_s=0.5, outage_mean_duration_s=1.0
+        )
+        live_obs = ObsContext.enabled(deterministic=True)
+        run_campaign(faulty, parallel=False, obs=live_obs, cache=False)
+        run_campaign(faulty, parallel=False, cache=store)
+        replay_obs = ObsContext.enabled(deterministic=True)
+        run_campaign(faulty, parallel=False, obs=replay_obs, cache=store)
+        assert replay_obs.metrics.value("store.points.warm") == 2 * 4
+        live = {
+            name: value
+            for name, value in counters(live_obs).items()
+            if name.startswith(("channel.", "faults."))
+        }
+        assert live["channel.mean_cache_hits"] > 0
+        assert live["faults.outage_replica_epochs"] > 0
+        replayed = counters(replay_obs)
+        assert {name: replayed.get(name) for name in live} == live
+
     def test_refresh_redispatches_every_shard(self, store):
         run_campaign(self.CONFIG, parallel=False, cache=store)
         obs = ObsContext.enabled(deterministic=True)
@@ -101,11 +124,11 @@ class TestChaosCache:
         assert store.stats()["entries"] == 0
 
     def test_live_telemetry_kwarg_disables_caching(self, store):
-        telemetry = PerfTelemetry()
-        chaos(self._plan(), scenario_name="quadrocopter", seed=7,
-              telemetry=telemetry, cache=store)
+        """A kwarg without a canonical serialisation skips the store."""
+        result = chaos(self._plan(), scenario_name="quadrocopter", seed=7,
+                       max_resumes=np.int64(3), cache=store)
         assert store.stats()["entries"] == 0
-        assert telemetry.counters  # the live run still filled it
+        assert result.outputs.counters  # the live run still happened
 
     def test_corrupt_entry_falls_back_to_a_live_run(self, store):
         cold = chaos(self._plan(), scenario_name="quadrocopter", seed=7,

@@ -1,11 +1,9 @@
-"""Tests for the perf telemetry accumulator."""
+"""Tests for the sanctioned instrumentation clocks."""
 
-import pickle
 import time
 
-import pytest
-
-from repro.perf import PerfTelemetry, unix_clock, wall_clock
+import repro.perf
+from repro.perf import unix_clock, wall_clock
 
 
 class TestSanctionedClocks:
@@ -14,79 +12,11 @@ class TestSanctionedClocks:
     def test_wall_clock_is_perf_counter(self):
         assert wall_clock is time.perf_counter
 
+    def test_module_defines_only_the_clocks(self):
+        assert repro.perf.__all__ == ["unix_clock", "wall_clock"]
+
     def test_unix_clock_is_epoch_time(self):
         assert unix_clock is time.time
         stamp = unix_clock()
         assert isinstance(stamp, float)
         assert stamp > 0
-
-
-class TestPerfTelemetry:
-    def test_add_time_accumulates(self):
-        tel = PerfTelemetry()
-        tel.add_time("channel", 0.5)
-        tel.add_time("channel", 0.25)
-        tel.add_time("error", 1.0)
-        assert tel.stage_seconds["channel"] == pytest.approx(0.75)
-        assert tel.stage_calls["channel"] == 2
-        assert tel.stage_calls["error"] == 1
-
-    def test_count(self):
-        tel = PerfTelemetry()
-        tel.count("epochs")
-        tel.count("epochs", 9)
-        assert tel.counters["epochs"] == 10
-
-    def test_stage_context_manager(self):
-        tel = PerfTelemetry()
-        with tel.stage("mac"):
-            pass
-        with tel.stage("mac"):
-            pass
-        assert tel.stage_calls["mac"] == 2
-        assert tel.stage_seconds["mac"] >= 0.0
-
-    def test_merge_in_place(self):
-        a, b = PerfTelemetry(), PerfTelemetry()
-        a.add_time("channel", 1.0)
-        a.count("epochs", 3)
-        b.add_time("channel", 2.0)
-        b.add_time("error", 0.5)
-        b.count("epochs", 4)
-        b.count("shards")
-        result = a.merge(b)
-        assert result is a
-        assert a.stage_seconds == {"channel": 3.0, "error": 0.5}
-        assert a.stage_calls == {"channel": 2, "error": 1}
-        assert a.counters == {"epochs": 7, "shards": 1}
-
-    def test_merged_skips_none(self):
-        parts = []
-        for seconds in (1.0, 2.0):
-            tel = PerfTelemetry()
-            tel.add_time("channel", seconds)
-            parts.append(tel)
-        total = PerfTelemetry.merged([parts[0], None, parts[1]])
-        assert total.stage_seconds["channel"] == pytest.approx(3.0)
-        assert total is not parts[0]
-
-    def test_as_dict_sorted_by_time(self):
-        tel = PerfTelemetry()
-        tel.add_time("fast", 0.1)
-        tel.add_time("slow", 2.0)
-        tel.add_time("medium", 1.0)
-        tel.count("b_counter", 2)
-        tel.count("a_counter", 1)
-        report = tel.as_dict()
-        assert list(report["stages"]) == ["slow", "medium", "fast"]
-        assert report["stages"]["slow"] == {"seconds": 2.0, "calls": 1}
-        assert list(report["counters"]) == ["a_counter", "b_counter"]
-        assert report["total_stage_seconds"] == pytest.approx(3.1)
-
-    def test_picklable_for_process_pool(self):
-        tel = PerfTelemetry()
-        tel.add_time("channel", 1.5)
-        tel.count("epochs", 7)
-        clone = pickle.loads(pickle.dumps(tel))
-        assert clone.stage_seconds == tel.stage_seconds
-        assert clone.counters == tel.counters
