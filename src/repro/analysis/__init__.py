@@ -30,9 +30,8 @@ The rules (see :mod:`repro.analysis.base` and docs/STATIC_ANALYSIS.md):
   execution backend.
 
 RL105/RL108/RL109/RL111 are *whole-program* rules built on the import graph
-and module summaries in :mod:`repro.analysis.graph`.  The runner is
-incremental: with the result store enabled, per-file records are
-cached by content hash and warm runs re-check only changed files.
+and module summaries in :mod:`repro.analysis.graph`.  Each file costs
+one parse and one node walk, shared by every rule.
 
 Run it as ``repro lint [--json] [--sarif FILE] [--changed]
 [--rule RL10x ...]``, or from code::

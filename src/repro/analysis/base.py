@@ -33,6 +33,10 @@ RL111     exec-backend discipline — ``ProcessPoolExecutor`` /
           :mod:`repro.exec`
 ========  ============================================================
 
+Each file is parsed and walked exactly once: :class:`ModuleInfo` holds
+the node list of that one walk and the import-alias map built from it,
+and every rule iterates those instead of re-walking the tree.
+
 Checkers come in two shapes: *module* checkers (see
 :class:`ModuleChecker`) visit one file at a time; *tree* checkers (see
 :class:`TreeChecker`) receive the whole :class:`~repro.analysis.graph.Program`
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -104,18 +109,6 @@ class Finding:
             "severity": self.severity,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            rule=str(payload["rule"]),
-            path=str(payload["path"]),
-            line=int(payload.get("line", 0)),
-            message=str(payload.get("message", "")),
-            snippet=str(payload.get("snippet", "")),
-            severity=str(payload.get("severity", "error")),
-        )
-
 
 @dataclass
 class ModuleInfo:
@@ -126,10 +119,47 @@ class ModuleInfo:
     source: str
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
+    #: Every node of ``tree`` in :func:`ast.walk` (breadth-first) order:
+    #: the file's one whole-tree walk, which all rules iterate.
+    nodes: List[ast.AST] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.lines:
             self.lines = self.source.splitlines()
+        self.nodes = list(ast.walk(self.tree))
+
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Local name → canonical dotted path bound by absolute imports.
+
+        ``import numpy as np`` binds ``np`` → ``numpy``; ``from time
+        import perf_counter`` binds ``perf_counter`` →
+        ``time.perf_counter``.  Relative imports are skipped (the file's
+        package is unknown here; see :func:`repro.analysis.taint.
+        collect_aliases` for the resolving variant).  Imports apply in
+        source order, so a later rebinding wins.
+        """
+        imports = sorted(
+            (
+                node for node in self.nodes
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            ),
+            key=lambda node: (node.lineno, node.col_offset),
+        )
+        names: Dict[str, str] = {}
+        for node in imports:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        names[alias.asname] = alias.name
+                    else:
+                        head = alias.name.split(".")[0]
+                        names[head] = head
+            elif not node.level and node.module is not None:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    names[local] = f"{node.module}.{alias.name}"
+        return names
 
     def snippet(self, line: int) -> str:
         """The stripped source text of 1-indexed ``line``."""
@@ -170,9 +200,8 @@ class TreeChecker:
     """Base for checkers that need the whole program (cross-file rules).
 
     Tree checkers consume :class:`~repro.analysis.graph.ModuleSummary`
-    data — plain serialisable facts, not ASTs — so the incremental
-    runner can feed them from the per-file cache without re-parsing
-    unchanged files.
+    data — plain per-file facts, not ASTs — which the runner collects
+    while each file is parsed.
     """
 
     rule: Rule

@@ -1,6 +1,7 @@
 """Module-level domain checkers: RL101-RL104, RL106 and RL107.
 
-Each checker resolves names through a per-module import-alias map, so
+Each checker resolves names through the file's import-alias map
+(:attr:`~repro.analysis.base.ModuleInfo.aliases`, built once per file), so
 ``import numpy as np`` / ``from numpy import random as npr`` / ``from
 time import perf_counter`` are all seen as their canonical dotted path
 before matching — the rules fire on *semantics*, not on spelling.
@@ -18,6 +19,7 @@ from .base import (
     Rule,
     register_checker,
 )
+from .taint import resolve as _resolve
 
 __all__ = [
     "RngDisciplineChecker",
@@ -28,50 +30,6 @@ __all__ = [
     "WallClockDisciplineChecker",
     "unit_suffix",
 ]
-
-
-# ----------------------------------------------------------------------
-# Import-alias resolution
-# ----------------------------------------------------------------------
-
-class _ImportAliases(ast.NodeVisitor):
-    """Map local names to the canonical dotted module path they bind."""
-
-    def __init__(self) -> None:
-        self.names: Dict[str, str] = {}
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.asname:
-                self.names[alias.asname] = alias.name
-            else:
-                head = alias.name.split(".")[0]
-                self.names[head] = head
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.level or node.module is None:  # relative imports: local
-            return
-        for alias in node.names:
-            local = alias.asname or alias.name
-            self.names[local] = f"{node.module}.{alias.name}"
-
-
-def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
-    visitor = _ImportAliases()
-    visitor.visit(tree)
-    return visitor.names
-
-
-def _resolve(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """Canonical dotted path of a Name/Attribute chain, if import-bound."""
-    if isinstance(node, ast.Name):
-        return aliases.get(node.id)
-    if isinstance(node, ast.Attribute):
-        base = _resolve(node.value, aliases)
-        if base is None:
-            return None
-        return f"{base}.{node.attr}"
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -121,9 +79,9 @@ class RngDisciplineChecker(ModuleChecker):
     def check_module(self, module: ModuleInfo) -> List[Finding]:
         if module.path in _RNG_ALLOWED_FILES:
             return []
-        aliases = _collect_aliases(module.tree)
+        aliases = module.aliases
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 findings.extend(self._check_import(module, node))
             elif isinstance(node, ast.Attribute):
@@ -239,9 +197,9 @@ class SimTimePurityChecker(ModuleChecker):
             return []
         if not module.path.startswith(_SIM_PACKAGES):
             return []
-        aliases = _collect_aliases(module.tree)
+        aliases = module.aliases
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             canonical: Optional[str] = None
             if isinstance(node, ast.Attribute):
                 canonical = _resolve(node, aliases)
@@ -300,9 +258,9 @@ class WallClockDisciplineChecker(ModuleChecker):
             return []
         if module.path.startswith(_SIM_PACKAGES):
             return []  # RL102 territory: wall clocks are banned outright
-        aliases = _collect_aliases(module.tree)
+        aliases = module.aliases
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             canonical: Optional[str] = None
             if isinstance(node, ast.Attribute):
                 canonical = _resolve(node, aliases)
@@ -395,9 +353,9 @@ class StoreAtomicIoChecker(ModuleChecker):
             return []
         if module.path in _STORE_WRITE_ALLOWED_FILES:
             return []
-        aliases = _collect_aliases(module.tree)
+        aliases = module.aliases
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             message = self._violation(node, aliases)
@@ -560,7 +518,7 @@ class UnitSuffixChecker(ModuleChecker):
 
     def check_module(self, module: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.BinOp):
                 findings.extend(self._check_binop(module, node))
             elif isinstance(node, ast.ClassDef):
@@ -669,7 +627,7 @@ class FloatEqualityChecker(ModuleChecker):
 
     def check_module(self, module: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]

@@ -13,10 +13,9 @@ infrastructure in three pieces:
     class/method signature surface RL105 compares, any top-level
     string-tuple constants (the ``*_CODE_MODULES`` fingerprint lists),
     and the per-module determinism-taint candidates from
-    :mod:`repro.analysis.taint`.  Summaries are plain data
-    (``to_dict``/``from_dict`` round-trip), which is what makes the
-    incremental lint cache possible: a warm run restores summaries
-    from the persistent store and never re-parses unchanged files.
+    :mod:`repro.analysis.taint`.  It reads the file's one node walk
+    (:attr:`~repro.analysis.base.ModuleInfo.nodes`), never re-walking
+    the tree.
 
 :class:`ImportGraph`
     The module-level graph over a set of summaries.  Edges are
@@ -96,28 +95,6 @@ class ImportRecord:
     level: int  # relative-import level (0 = absolute)
     line: int
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "module": self.module,
-            "names": list(self.names),
-            "level": self.level,
-            "line": self.line,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ImportRecord":
-        return cls(
-            kind=str(payload["kind"]),
-            module=(
-                None if payload.get("module") is None
-                else str(payload["module"])
-            ),
-            names=[str(n) for n in payload.get("names", [])],
-            level=int(payload.get("level", 0)),
-            line=int(payload.get("line", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class MethodSummary:
@@ -126,21 +103,6 @@ class MethodSummary:
     params: List[str]  # positional+kwonly names, sans self/cls
     line: int
     snippet: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "params": list(self.params),
-            "line": self.line,
-            "snippet": self.snippet,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "MethodSummary":
-        return cls(
-            params=[str(p) for p in payload.get("params", [])],
-            line=int(payload.get("line", 0)),
-            snippet=str(payload.get("snippet", "")),
-        )
 
 
 @dataclass(frozen=True)
@@ -152,29 +114,6 @@ class ClassSummary:
     snippet: str
     methods: Dict[str, MethodSummary]
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "snippet": self.snippet,
-            "methods": {
-                name: method.to_dict()
-                for name, method in self.methods.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ClassSummary":
-        return cls(
-            name=str(payload["name"]),
-            line=int(payload.get("line", 0)),
-            snippet=str(payload.get("snippet", "")),
-            methods={
-                str(name): MethodSummary.from_dict(method)
-                for name, method in dict(payload.get("methods", {})).items()
-            },
-        )
-
 
 @dataclass(frozen=True)
 class StrTuple:
@@ -183,21 +122,6 @@ class StrTuple:
     values: List[str]
     line: int
     snippet: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "values": list(self.values),
-            "line": self.line,
-            "snippet": self.snippet,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "StrTuple":
-        return cls(
-            values=[str(v) for v in payload.get("values", [])],
-            line=int(payload.get("line", 0)),
-            snippet=str(payload.get("snippet", "")),
-        )
 
 
 @dataclass
@@ -219,53 +143,6 @@ class ModuleSummary:
     #: Direct worker-pool constructions (``ProcessPoolExecutor`` /
     #: ``multiprocessing.Pool`` call sites) for RL111.
     pool_calls: List[Dict[str, object]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_init": self.is_init,
-            "is_shim": self.is_shim,
-            "symbols": dict(self.symbols),
-            "imports": [record.to_dict() for record in self.imports],
-            "classes": [cls.to_dict() for cls in self.classes],
-            "str_tuples": {
-                name: entry.to_dict()
-                for name, entry in self.str_tuples.items()
-            },
-            "taint": [dict(c) for c in self.taint],
-            "pool_calls": [dict(c) for c in self.pool_calls],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ModuleSummary":
-        return cls(
-            path=str(payload["path"]),
-            module=(
-                None if payload.get("module") is None
-                else str(payload["module"])
-            ),
-            is_init=bool(payload.get("is_init", False)),
-            is_shim=bool(payload.get("is_shim", False)),
-            symbols={
-                str(k): str(v)
-                for k, v in dict(payload.get("symbols", {})).items()
-            },
-            imports=[
-                ImportRecord.from_dict(r) for r in payload.get("imports", [])
-            ],
-            classes=[
-                ClassSummary.from_dict(c) for c in payload.get("classes", [])
-            ],
-            str_tuples={
-                str(name): StrTuple.from_dict(entry)
-                for name, entry in dict(
-                    payload.get("str_tuples", {})
-                ).items()
-            },
-            taint=[dict(c) for c in payload.get("taint", [])],
-            pool_calls=[dict(c) for c in payload.get("pool_calls", [])],
-        )
 
 
 def _method_params(fn: "ast.FunctionDef | ast.AsyncFunctionDef") -> List[str]:
@@ -358,7 +235,7 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
                 )
     # Imports and classes, anywhere in the file (lazy imports and
     # nested classes count).
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 summary.imports.append(
@@ -416,7 +293,7 @@ def _pool_call_sites(module: ModuleInfo) -> List[Dict[str, object]]:
     mp_aliases = {"multiprocessing"}
     executor_names = {"ProcessPoolExecutor"}
     pool_names: set = set()
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "multiprocessing" and alias.asname:
@@ -434,7 +311,7 @@ def _pool_call_sites(module: ModuleInfo) -> List[Dict[str, object]]:
                     if alias.name == "Pool":
                         pool_names.add(alias.asname or alias.name)
     sites: List[Dict[str, object]] = []
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func

@@ -613,7 +613,7 @@ class ObsGuardChecker(ModuleChecker):
         if module.path not in HOT_PATH_FILES:
             return []
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
             ):

@@ -1,52 +1,30 @@
-"""The ``reprolint`` runner: walk, check (incrementally), filter, report.
+"""The ``reprolint`` runner: walk, check, filter, report.
 
 :func:`run_lint` is the single entry point used by the ``repro lint``
-CLI subcommand, CI and the tests.  It walks a source tree and produces
-one *record* per file — the module-rule findings, the inline
-suppressions, and the :class:`~repro.analysis.graph.ModuleSummary`
-that the whole-program rules consume.  Records are plain JSON, which
-buys two things:
-
-**Incremental runs.**  With a :class:`~repro.store.ResultStore`
-enabled (``REPRO_CACHE_DIR``/``REPRO_CACHE=1``, or an explicit
-``cache=``), each record is cached under a key derived from the file's
-content hash, the module-rule set and the analysis package's own code
-fingerprint (:data:`~repro.store.fingerprint.ANALYSIS_CODE_MODULES`) —
-so a warm run re-parses only changed files and a lint-code change
-invalidates everything.  Tree rules (RL105/RL108/RL109) always re-run,
-but they read summaries, never source, so the warm path does zero
-parsing for unchanged files and the report is byte-identical to a cold
-run (its ``metrics``/``trace`` aside).
-
-**Parallel cold runs.**  Cache misses are parsed and checked on the
-persistent :mod:`repro.exec` process pool (``jobs=`` controls the
-width; ``jobs=1`` forces serial).  The backend's adaptive shard
-planner groups files into dispatch chunks, replacing the old
-``n_jobs * 4`` chunking heuristic.
+CLI subcommand, CI and the tests.  It walks a source tree and checks
+each file once: one :func:`ast.parse` and one node walk (see
+:class:`~repro.analysis.base.ModuleInfo`) feed the module-level rules,
+the inline suppressions and the
+:class:`~repro.analysis.graph.ModuleSummary` that the whole-program
+rules (RL105/RL108/RL109/RL111) consume.
 
 Each run carries an :class:`~repro.obs.ObsContext`: one span per stage
-(``lint.walk`` / ``lint.cache`` / ``lint.parse`` /
-``lint.check.<tree-rule>`` / ``lint.filter``) plus ``lint.*``
-counters, surfaced as ``metrics`` and ``trace`` in the ``--json``
-report so lint runtime regressions show up next to the engine
-benchmarks.
+(``lint.walk`` / ``lint.parse`` / ``lint.check.<tree-rule>`` /
+``lint.filter``) plus ``lint.*`` counters, surfaced as ``metrics`` and
+``trace`` in the ``--json`` report so lint runtime regressions show up
+next to the engine benchmarks.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
-import os
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Set
 
-from ..exec import backend_for
 from ..obs import ObsContext
-from ..store.fingerprint import ANALYSIS_CODE_MODULES, config_key
-from ..store.store import ResultStore, resolve_store
 from .base import (
     Finding,
     ModuleChecker,
@@ -70,19 +48,6 @@ __all__ = [
 ]
 
 BASELINE_FILENAME = ".reprolint-baseline.json"
-
-#: Bumped whenever the per-file record layout changes, so stale cache
-#: entries from an older reprolint simply miss.  2: ModuleSummary grew
-#: the ``pool_calls`` field RL111 reads.
-_RECORD_VERSION = 2
-
-#: Below this many cache misses even a warm pool's dispatch overhead
-#: outweighs the parallel parse; stay serial.
-_PARALLEL_MIN_FILES = 16
-
-#: Upper bound on auto-selected worker processes.
-_MAX_JOBS = 8
-
 
 def default_root() -> Path:
     """The installed ``repro`` package — the tree the invariants govern."""
@@ -195,121 +160,32 @@ class LintReport:
 
 
 # ----------------------------------------------------------------------
-# Per-file records (the cacheable unit)
+# Per-file checking
 # ----------------------------------------------------------------------
 
-def _check_file_record(
-    path: str, source: str, module_rule_ids: Sequence[str]
-) -> Dict[str, object]:
-    """Parse one file and run the module-level rules over it.
+class _FileRecord(NamedTuple):
+    """What one parse of one file yields for the rest of the run."""
 
-    The result is plain JSON — findings, inline suppressions and the
-    module summary — so it can live in the content-addressed store and
-    feed the tree rules on warm runs without re-parsing.
-    """
-    tree = ast.parse(source, filename=path)
-    module = ModuleInfo(path=path, source=source, tree=tree)
+    #: Module-rule findings, before suppression and baseline filtering.
+    findings: List[Finding]
+    #: Inline ``# reprolint: disable`` comments (line → rules or all).
+    suppressions: Dict[int, Optional[Set[str]]]
+    summary: ModuleSummary
+
+
+def _check_file(
+    path: str, source: str, module_checkers: List[ModuleChecker]
+) -> _FileRecord:
+    """Parse one file and run the module-level rules over it."""
+    module = ModuleInfo(
+        path=path, source=source, tree=ast.parse(source, filename=path)
+    )
     findings: List[Finding] = []
-    if module_rule_ids:
-        for checker in checkers_for(list(module_rule_ids)):
-            findings.extend(checker.check_module(module))
-    suppressions = suppressions_for_source(source)
-    return {
-        "version": _RECORD_VERSION,
-        "findings": [f.to_dict() for f in findings],
-        "suppressions": {
-            str(line): (sorted(rules) if rules is not None else None)
-            for line, rules in suppressions.items()
-        },
-        "summary": summarize_module(module).to_dict(),
-    }
-
-
-def _check_file_worker(
-    item: "Tuple[str, str, Tuple[str, ...]]"
-) -> "Tuple[str, Dict[str, object]]":
-    path, source, module_rule_ids = item
-    return path, _check_file_record(path, source, module_rule_ids)
-
-
-def _valid_record(body: object) -> bool:
-    return (
-        isinstance(body, dict)
-        and body.get("version") == _RECORD_VERSION
-        and isinstance(body.get("findings"), list)
-        and isinstance(body.get("suppressions"), dict)
-        and isinstance(body.get("summary"), dict)
+    for checker in module_checkers:
+        findings.extend(checker.check_module(module))
+    return _FileRecord(
+        findings, suppressions_for_source(source), summarize_module(module)
     )
-
-
-def _record_key(
-    path: str, source: str, module_rule_ids: Sequence[str]
-) -> str:
-    """Store key for one file's record.
-
-    Keyed on the file's content hash, the module-rule set and (via
-    ``ANALYSIS_CODE_MODULES``) the fingerprint of the analysis package
-    itself — editing any checker invalidates every cached record.
-    """
-    sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return config_key(
-        "lint-file",
-        {
-            "path": path,
-            "sha256": sha,
-            "rules": list(module_rule_ids),
-            "record": _RECORD_VERSION,
-        },
-        ANALYSIS_CODE_MODULES,
-    )
-
-
-def _decode_suppressions(
-    payload: Dict[str, object]
-) -> Dict[int, Optional[Set[str]]]:
-    out: Dict[int, Optional[Set[str]]] = {}
-    for line, rules in payload.items():
-        out[int(line)] = None if rules is None else {str(r) for r in rules}
-    return out
-
-
-# ----------------------------------------------------------------------
-# Checking (serial or process pool)
-# ----------------------------------------------------------------------
-
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is not None:
-        return max(1, int(jobs))
-    return max(1, min(_MAX_JOBS, os.cpu_count() or 1))
-
-
-def _check_files(
-    items: "List[Tuple[str, str]]",
-    module_rule_ids: Sequence[str],
-    jobs: Optional[int],
-    obs: ObsContext,
-) -> Dict[str, Dict[str, object]]:
-    if not items:
-        return {}
-    n_jobs = _resolve_jobs(jobs)
-    if n_jobs > 1 and len(items) >= _PARALLEL_MIN_FILES:
-        payload = [
-            (path, source, tuple(module_rule_ids)) for path, source in items
-        ]
-        pairs, report = backend_for(n_jobs).map(
-            _check_file_worker,
-            payload,
-            parallel=True,
-            family="lint.file",
-            with_report=True,
-        )
-        if report.pooled:
-            obs.metrics.counter("lint.parallel.files").inc(len(items))
-        return dict(pairs)
-    return {
-        path: _check_file_record(path, source, module_rule_ids)
-        for path, source in items
-    }
 
 
 # ----------------------------------------------------------------------
@@ -320,18 +196,6 @@ def _walk_tree(root: Path) -> List[Path]:
     return sorted(
         p for p in root.rglob("*.py") if "__pycache__" not in p.parts
     )
-
-
-def _split_rules(
-    rules: Optional[List[str]],
-) -> "Tuple[List[str], List[TreeChecker]]":
-    """(module rule IDs, tree checker instances) for a rule selection."""
-    selected = checkers_for(rules)
-    module_ids = sorted(
-        c.rule.id for c in selected if isinstance(c, ModuleChecker)
-    )
-    tree_checkers = [c for c in selected if isinstance(c, TreeChecker)]
-    return module_ids, tree_checkers
 
 
 def _changed_files(root: Path) -> Optional[Set[str]]:
@@ -387,12 +251,8 @@ def lint_sources(
     baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint in-memory ``{relative_path: source}`` (fixture-friendly)."""
-    module_ids, _tree = _split_rules(rules)
-    records = {
-        path: _check_file_record(path, sources[path], module_ids)
-        for path in sorted(sources)
-    }
-    return _assemble(records, root="<memory>", rules=rules, baseline=baseline)
+    ordered = {path: sources[path] for path in sorted(sources)}
+    return _lint(ordered, root="<memory>", rules=rules, baseline=baseline)
 
 
 def run_lint(
@@ -400,75 +260,28 @@ def run_lint(
     rules: Optional[List[str]] = None,
     baseline_path: Optional[Path] = None,
     use_baseline: bool = True,
-    cache: "Union[None, bool, ResultStore]" = None,
-    refresh: bool = False,
-    jobs: Optional[int] = None,
     changed_only: bool = False,
 ) -> LintReport:
     """Lint a source tree on disk.
 
     ``baseline_path=None`` with ``use_baseline=True`` auto-discovers a
     committed ``.reprolint-baseline.json`` via
-    :func:`default_baseline_path`.
-
-    ``cache`` follows :func:`repro.store.resolve_store` semantics:
-    ``None`` honours the ``REPRO_CACHE*`` environment, ``True`` forces
-    the default store, ``False`` disables caching, and a
-    :class:`~repro.store.ResultStore` is used as-is.  ``refresh=True``
-    ignores (and rewrites) existing records.  ``changed_only=True``
-    restricts *reported* findings to files git considers modified —
-    the analysis still sees the whole tree, so cross-file rules stay
-    sound — and falls back to a full report outside a git checkout.
+    :func:`default_baseline_path`.  ``changed_only=True`` restricts
+    *reported* findings to files git considers modified — the analysis
+    still sees the whole tree, so cross-file rules stay sound — and
+    falls back to a full report outside a git checkout.
     """
     root = Path(root) if root is not None else default_root()
     if not root.is_dir():
         raise FileNotFoundError(f"lint root {root} is not a directory")
     obs = ObsContext.enabled()
     with obs.tracer.span("lint.walk"):
-        files = _walk_tree(root)
         sources = {
             path.relative_to(root).as_posix(): path.read_text(
                 encoding="utf-8"
             )
-            for path in files
+            for path in _walk_tree(root)
         }
-    store = resolve_store(cache)
-    module_ids, _tree = _split_rules(rules)
-
-    records: Dict[str, Dict[str, object]] = {}
-    stale: List[str] = []
-    keys: Dict[str, str] = {}
-    with obs.tracer.span("lint.cache"):
-        if store is not None:
-            keys = {
-                rel: _record_key(rel, source, module_ids)
-                for rel, source in sources.items()
-            }
-            if refresh:
-                stale = list(sources)
-            else:
-                for rel in sources:
-                    body = store.get(keys[rel], touch=False)
-                    if _valid_record(body):
-                        records[rel] = body  # type: ignore[assignment]
-                    else:
-                        stale.append(rel)
-                store.touch_many([keys[rel] for rel in records])
-        else:
-            stale = list(sources)
-    with obs.tracer.span("lint.parse"):
-        fresh = _check_files(
-            [(rel, sources[rel]) for rel in stale],
-            module_ids,
-            jobs,
-            obs,
-        )
-    records.update(fresh)
-    if store is not None and fresh:
-        store.put_many({keys[rel]: fresh[rel] for rel in fresh})
-    obs.metrics.counter("lint.cache.hits").inc(len(records) - len(fresh))
-    obs.metrics.counter("lint.cache.misses").inc(len(fresh))
-
     baseline = None
     if use_baseline:
         if baseline_path is None:
@@ -476,8 +289,8 @@ def run_lint(
         if baseline_path is not None:
             baseline = Baseline.load(Path(baseline_path))
     changed = _changed_files(root) if changed_only else None
-    return _assemble(
-        records,
+    return _lint(
+        sources,
         root=str(root),
         rules=rules,
         baseline=baseline,
@@ -486,28 +299,31 @@ def run_lint(
     )
 
 
-def _assemble(
-    records: Dict[str, Dict[str, object]],
+def _lint(
+    sources: Dict[str, str],
     root: str,
     rules: Optional[List[str]] = None,
     baseline: Optional[Baseline] = None,
     obs: Optional[ObsContext] = None,
     changed: Optional[Set[str]] = None,
 ) -> LintReport:
-    """Tree rules + suppression/baseline filtering over file records."""
+    """Check every file, run the tree rules, then filter and report."""
     obs = obs if obs is not None else ObsContext.enabled()
-    _module_ids, tree_checkers = _split_rules(rules)
+    selected = checkers_for(rules)
+    module_checkers = [c for c in selected if isinstance(c, ModuleChecker)]
+    tree_checkers = [c for c in selected if isinstance(c, TreeChecker)]
+    with obs.tracer.span("lint.parse"):
+        records = {
+            path: _check_file(path, source, module_checkers)
+            for path, source in sources.items()
+        }
     findings: List[Finding] = []
-    for rel in records:
-        findings.extend(
-            Finding.from_dict(payload)  # type: ignore[arg-type]
-            for payload in records[rel]["findings"]  # type: ignore[union-attr]
-        )
-    summaries = {
-        rel: ModuleSummary.from_dict(records[rel]["summary"])  # type: ignore[arg-type]
-        for rel in records
-    }
-    program = Program(root=root, summaries=summaries)
+    for record in records.values():
+        findings.extend(record.findings)
+    program = Program(
+        root=root,
+        summaries={path: record.summary for path, record in records.items()},
+    )
     parity_pairs: List[ParityPair] = []
     for checker in tree_checkers:
         with obs.tracer.span(f"lint.check.{checker.rule.id}"):
@@ -516,8 +332,7 @@ def _assemble(
                 parity_pairs = list(checker.pairs)
     with obs.tracer.span("lint.filter"):
         per_file = {
-            rel: _decode_suppressions(records[rel]["suppressions"])  # type: ignore[arg-type]
-            for rel in records
+            path: record.suppressions for path, record in records.items()
         }
         if changed is not None:
             findings = [f for f in findings if f.path in changed]
@@ -529,7 +344,6 @@ def _assemble(
             new, baselined = list(active), []
     obs.metrics.counter("lint.files").inc(len(records))
     obs.metrics.counter("lint.findings").inc(len(active))
-    selected = checkers_for(rules)
     rule_ids = (
         sorted({c.rule.id for c in selected})
         if rules is not None

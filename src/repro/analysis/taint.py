@@ -29,7 +29,7 @@ candidates into findings with whole-program context.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .base import ModuleInfo
 
@@ -88,13 +88,16 @@ def source_origin(canonical: str) -> Optional[str]:
 # ----------------------------------------------------------------------
 
 def collect_aliases(
-    tree: ast.Module, dotted_module: Optional[str], is_init: bool = False
+    nodes: Iterable[ast.AST],
+    dotted_module: Optional[str],
+    is_init: bool = False,
 ) -> Dict[str, str]:
     """Local name → canonical dotted path, resolving relative imports.
 
-    Unlike the per-file alias map in :mod:`repro.analysis.checkers`
-    (which skips relative imports because it has no idea where the file
-    lives), this variant knows the module's dotted name, so
+    ``nodes`` is a file's node walk (:attr:`ModuleInfo.nodes`).  Unlike
+    :attr:`ModuleInfo.aliases` (which skips relative imports because it
+    has no idea where the file lives), this variant knows the module's
+    dotted name, so
     ``from ..obs import RunManifest`` inside ``repro.faults.chaos``
     resolves to ``repro.obs.RunManifest`` and can match sink paths.
     """
@@ -103,7 +106,7 @@ def collect_aliases(
         parts = dotted_module.split(".")
         package_parts = parts if is_init else parts[:-1]
     names: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -303,7 +306,7 @@ def taint_candidates(
     if module.path.startswith(exempt_heads):
         return []
     is_init = module.path.endswith("__init__.py")
-    aliases = collect_aliases(module.tree, dotted_module, is_init)
+    aliases = collect_aliases(module.nodes, dotted_module, is_init)
     candidates: List[Dict[str, object]] = []
 
     module_scope = _ScopeTaint(module, aliases, function=None)
@@ -318,7 +321,7 @@ def taint_candidates(
     )
     candidates.extend(module_scope.candidates)
 
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = _ScopeTaint(module, aliases, function=node.name)
             scope.run(node.body)

@@ -25,15 +25,14 @@ additionally takes ``--trace`` (span digest) and ``--metrics-out
 FILE`` (write the run manifest); see docs/OBSERVABILITY.md,
 docs/PERFORMANCE.md, docs/ROBUSTNESS.md and docs/STATIC_ANALYSIS.md.
 
-``solve``, ``sweep``, ``bench``, ``chaos`` and ``lint`` take
+``solve``, ``sweep``, ``bench``, ``chaos`` and ``relay`` take
 ``--no-cache`` / ``--refresh`` to control the persistent result store
 (opt-in via ``REPRO_CACHE_DIR`` / ``REPRO_CACHE=1``; see
-docs/PERFORMANCE.md, "Result store & incremental sweeps").  ``lint``
-caches per-file analysis records, so warm runs re-check only changed
-files; ``lint --sarif FILE`` writes a SARIF 2.1.0 log for CI inline
-annotation and ``lint --changed`` reports only on git-modified files.
+docs/PERFORMANCE.md, "Result store & incremental sweeps").  ``lint
+--sarif FILE`` writes a SARIF 2.1.0 log for CI inline annotation and
+``lint --changed`` reports only on git-modified files.
 
-``sweep``, ``bench``, ``chaos``, ``relay`` and ``lint`` take the
+``sweep``, ``bench``, ``chaos`` and ``relay`` take the
 global ``--jobs N`` / ``--serial`` flags, which point the shared
 execution backend (:mod:`repro.exec`) at a worker count or force the
 in-process path for the whole command.  Results are byte-identical
@@ -411,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report findings only for files modified vs git "
              "(full run outside a git checkout)",
     )
-    _add_cache_flags(lint)
-    _add_exec_flags(lint)
     return parser
 
 
@@ -980,7 +977,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         write_sarif,
     )
 
-    _configure_exec(args)
     root = Path(args.path) if args.path else default_root()
     baseline_path = Path(args.baseline) if args.baseline else None
     report = run_lint(
@@ -988,9 +984,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         rules=args.rules,
         baseline_path=baseline_path,
         use_baseline=not args.no_baseline,
-        jobs=1 if args.serial else args.jobs,
         changed_only=args.changed,
-        **_cache_kwargs(args),
     )
     if args.sarif:
         write_sarif(report, Path(args.sarif))

@@ -1,8 +1,8 @@
 """``repro.exec`` — the process-wide execution backend.
 
 One persistent worker pool shared by every parallel stage in the
-pipeline (measurement campaigns, relay campaigns, the lint runner,
-the batch engine's thread fan-out), with:
+pipeline (measurement campaigns, relay campaigns, the batch
+engine's thread fan-out), with:
 
 * lazily-spawned, PID-guarded ``ProcessPoolExecutor``/
   ``ThreadPoolExecutor`` pools and an explicit :func:`shutdown`;

@@ -1,7 +1,7 @@
 """The process-wide execution backend: one pool, many call sites.
 
 Every parallel stage in the pipeline — measurement campaigns, relay
-campaigns, cold lint runs, the batch engine's thread fan-out — used to
+campaigns, the batch engine's thread fan-out — used to
 build a fresh executor per invocation.  :class:`ExecBackend` owns
 **persistent, lazily-spawned** pools instead: the first ``map`` pays
 the fork, every later one reuses the warm workers (the

@@ -2,9 +2,8 @@
 
 Before :mod:`repro.exec`, every parallel call site carried its own
 chunking heuristic: the campaign runner dispatched one pool task per
-replica block, the relay runner one per (tiny) shard, and the lint
-runner divided files by ``n_jobs * 4``.  :class:`ShardPlanner`
-replaces all three with one cost model:
+replica block and the relay runner one per (tiny) shard.
+:class:`ShardPlanner` replaces both with one cost model:
 
 * aim for **8–16 dispatch chunks per worker**, so stragglers cannot
   leave the pool idle at the tail of a map;
@@ -15,8 +14,8 @@ replaces all three with one cost model:
   serial or pooled run).
 
 Dispatch chunking is **result-neutral by construction**: the planner
-only groups already-fixed determinism units (campaign shards, relay
-shards, lint files) into pool submissions.  It never changes
+only groups already-fixed determinism units (campaign and relay
+shards) into pool submissions.  It never changes
 ``block_size`` — RNG streams fork on shard indices, so the
 determinism-bearing shard layout belongs to the config, not to the
 scheduler.

@@ -8,7 +8,6 @@ and degrades to plain recomputation on any filesystem trouble.
 
 from .atomic import FileLock, atomic_write_bytes, atomic_write_text
 from .fingerprint import (
-    ANALYSIS_CODE_MODULES,
     CAMPAIGN_CODE_MODULES,
     CHAOS_CODE_MODULES,
     RELAY_CODE_MODULES,
@@ -35,7 +34,6 @@ from .store import (
 )
 
 __all__ = [
-    "ANALYSIS_CODE_MODULES",
     "CAMPAIGN_CODE_MODULES",
     "CHAOS_CODE_MODULES",
     "DEFAULT_MAX_BYTES",

@@ -30,7 +30,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
-    "ANALYSIS_CODE_MODULES",
     "CAMPAIGN_CODE_MODULES",
     "CHAOS_CODE_MODULES",
     "RELAY_CODE_MODULES",
@@ -43,10 +42,11 @@ __all__ = [
 #: Bumped on any backwards-incompatible change to store entry payloads.
 STORE_SCHEMA_VERSION = 1
 
-# The three result tuples below must cover the static import closure
+# The four result tuples below must cover the static import closure
 # of their entry module — reprolint rule RL108 (fingerprint-
 # completeness) verifies this on every lint run, so a new import in
-# the engine/campaign/chaos path fails CI until it is fingerprinted.
+# the engine/campaign/chaos/relay path fails CI until it is
+# fingerprinted.
 
 #: Modules whose source shapes an Eq. 2 decision (point/sweep entries).
 SOLVER_CODE_MODULES = (
@@ -108,10 +108,6 @@ RELAY_CODE_MODULES = (
     "repro.airframe.platform",
     "repro.measurements.datasets",
 )
-
-#: The analysis package itself — keys the per-file lint records, so
-#: editing any checker invalidates every cached lint result.
-ANALYSIS_CODE_MODULES = ("repro.analysis",)
 
 _CODE_FP_CACHE: Dict[Tuple[str, ...], str] = {}
 

@@ -50,7 +50,7 @@ def test_json_report_shape(capsys):
     assert payload["counts"]["warnings"] == 0
     assert payload["counts"]["parity_pairs"] >= 5
     trace = payload["trace"]
-    for span in ("lint.walk", "lint.cache", "lint.parse", "lint.check.RL105",
+    for span in ("lint.walk", "lint.parse", "lint.check.RL105",
                  "lint.check.RL108", "lint.filter"):
         assert trace[span]["count"] == 1
     counters = payload["metrics"]["counters"]

@@ -4,7 +4,7 @@ import ast
 
 import pytest
 
-from repro.analysis import ModuleSummary, Program, module_name, summarize_module
+from repro.analysis import Program, module_name, summarize_module
 from repro.analysis.base import ModuleInfo
 
 
@@ -90,21 +90,6 @@ class TestSummaries:
             "def run():\n    from ..core import delay\n    return delay\n",
         )
         assert any(r.level == 2 for r in summary.imports)
-
-    def test_round_trip(self):
-        summary = _summary(
-            "engine/batch.py",
-            "from ..core.delay import delay\n"
-            "PARTS = ('a', 'b')\n"
-            "class BatchSolver:\n"
-            "    def solve(self, scenarios): ...\n",
-        )
-        clone = ModuleSummary.from_dict(summary.to_dict())
-        assert clone.to_dict() == summary.to_dict()
-        assert clone.module == summary.module
-        assert clone.classes[0].methods.keys() == (
-            summary.classes[0].methods.keys()
-        )
 
 
 class TestImportGraph:

@@ -121,7 +121,7 @@ class TestRL108FingerprintCompleteness:
         result = subprocess.run(
             [
                 sys.executable, "-m", "repro", "lint",
-                "--path", str(root), "--no-baseline", "--no-cache",
+                "--path", str(root), "--no-baseline",
                 "--rule", "RL108",
             ],
             capture_output=True,
@@ -159,7 +159,7 @@ class TestRL108FingerprintCompleteness:
         result = subprocess.run(
             [
                 sys.executable, "-m", "repro", "lint",
-                "--path", str(root), "--no-baseline", "--no-cache",
+                "--path", str(root), "--no-baseline",
                 "--rule", "RL108",
             ],
             capture_output=True,
