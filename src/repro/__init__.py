@@ -16,10 +16,26 @@ The package is organised bottom-up:
   contribution): Cdelay, utility, optimiser, strategies, scenarios.
 * :mod:`repro.engine` — fleet-scale batch solver: vectorised Eq. 2,
   memoisation, chunked fan-out.
+* :mod:`repro.relay` — multi-hop relay chains: per-hop now-or-ship
+  decisions, store-and-forward transfers, outage campaigns.
+* :mod:`repro.mission` — end-to-end sector-sweep missions, ferry
+  transfers and delivery policies.
 * :mod:`repro.faults` — deterministic fault injection: plans, outage
   schedules, the kernel injector, the ``repro chaos`` runner.
+* :mod:`repro.exec` — the process-wide worker pool behind campaigns
+  and the engine's fan-out (result-neutral by contract).
+* :mod:`repro.store` — the persistent content-addressed result store
+  and incremental sweeps.
+* :mod:`repro.obs` — tracing, metrics, events and run manifests.
 * :mod:`repro.api` — the stable public façade (start here).
 * :mod:`repro.experiments` — regenerators for every table and figure.
+* :mod:`repro.analysis` — ``reprolint``, the AST-based checker of the
+  tree's domain invariants (``repro lint``).
+
+Only :mod:`repro.api` loads with the package; the legacy model names
+re-exported from :mod:`repro.core` resolve on first access (PEP 562
+``__getattr__``).  The subpackages on the solver path re-export the
+same way, so a cold ``repro solve`` imports only the modules it runs.
 
 Quickstart::
 
@@ -51,20 +67,6 @@ from .api import (
     solve_batch,
     sweep,
     utility_curve,
-)
-from .core import (
-    CommunicationDelayModel,
-    DelayedGratificationUtility,
-    DistanceOptimizer,
-    ExponentialFailure,
-    HoverAndTransmit,
-    LogFitThroughput,
-    MixedStrategy,
-    MoveAndTransmit,
-    MultiBatchScheduler,
-    TableThroughput,
-    sensitivity,
-    transmit_now,
 )
 
 __version__ = "1.1.0"
@@ -102,3 +104,30 @@ __all__ = [
     "transmit_now",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Literal relative imports keep each edge in the RL108 import graph.
+    if name in (
+        "CommunicationDelayModel",
+        "DelayedGratificationUtility",
+        "DistanceOptimizer",
+        "ExponentialFailure",
+        "HoverAndTransmit",
+        "LogFitThroughput",
+        "MixedStrategy",
+        "MoveAndTransmit",
+        "MultiBatchScheduler",
+        "TableThroughput",
+        "sensitivity",
+        "transmit_now",
+    ):
+        from . import core as source
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(source, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -96,13 +96,18 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _configure_exec(args: argparse.Namespace) -> None:
-    """Point :mod:`repro.exec` at this command's ``--jobs``/``--serial``."""
+    """Point :mod:`repro.exec` at this command's ``--jobs``/``--serial``.
+
+    Without either flag there is nothing to set, and :mod:`repro.exec`
+    is left unimported until a stage actually fans out.
+    """
+    workers = getattr(args, "jobs", None)
+    serial = bool(getattr(args, "serial", False))
+    if workers is None and not serial:
+        return
     from . import exec as exec_backend
 
-    exec_backend.configure(
-        workers=getattr(args, "jobs", None),
-        serial=bool(getattr(args, "serial", False)),
-    )
+    exec_backend.configure(workers=workers, serial=serial)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,17 +6,16 @@ package makes the simulator *experience* it: declarative
 link engines consume, a kernel-driven :class:`FaultInjector`, and the
 end-to-end :func:`run_chaos` runner behind ``repro chaos``.
 
+Only :mod:`.plan` loads with the package (``repro.api`` needs
+:class:`FaultPlan`).  Every other name resolves on first access (PEP
+562 ``__getattr__``), so the solver path never imports the link stack;
+:mod:`.chaos` could not load eagerly in any case, since it imports
+``repro.api``, which imports this package.
+
 See ``docs/ROBUSTNESS.md`` for the fault taxonomy and the determinism
 guarantees.
 """
 
-from ..net.retry import ExponentialBackoff, RetryPolicy
-from .injector import (
-    FaultInjector,
-    sample_crash_distance_for_platform,
-    sample_crash_distance_m,
-)
-from .outage import BatchOutageSchedule, OutageSchedule
 from .plan import FAULT_KINDS, FaultPlan, FaultSpec
 
 __all__ = [
@@ -34,19 +33,26 @@ __all__ = [
     "run_chaos",
 ]
 
-#: Chaos-runner symbols resolved lazily (PEP 562): ``chaos`` pulls in
-#: ``repro.api`` and the mission layer, which themselves import this
-#: package for :class:`FaultPlan` — eager import would cycle.
-_LAZY = {"ChaosResult", "run_chaos"}
-
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        from . import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Literal relative imports keep each edge in the RL108 import graph.
+    if name in ("ExponentialBackoff", "RetryPolicy"):
+        from ..net import retry as source
+    elif name in (
+        "FaultInjector",
+        "sample_crash_distance_m",
+        "sample_crash_distance_for_platform",
+    ):
+        from . import injector as source
+    elif name in ("OutageSchedule", "BatchOutageSchedule"):
+        from . import outage as source
+    elif name in ("ChaosResult", "run_chaos"):
+        from . import chaos as source
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(source, name)
+    return value
 
 
 def __dir__():
-    return sorted(__all__)
+    return sorted({*globals(), *__all__})

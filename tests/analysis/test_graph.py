@@ -23,6 +23,175 @@ def _program(sources):
     )
 
 
+#: Each RL108 entry module's pruned closure on the real tree, pinned
+#: as it stood before the package re-exports went lazy: the lazy
+#: loaders' literal imports must keep every edge.
+REAL_CLOSURES = {
+    "CAMPAIGN_CODE_MODULES": {
+        "repro.channel.channel",
+        "repro.channel.fading",
+        "repro.channel.linkbudget",
+        "repro.channel.mobility",
+        "repro.channel.pathloss",
+        "repro.exec",
+        "repro.faults.outage",
+        "repro.faults.plan",
+        "repro.mac.aggregation",
+        "repro.mac.dcf",
+        "repro.mac.frames",
+        "repro.measurements.batch",
+        "repro.net.batchlink",
+        "repro.net.iperf",
+        "repro.net.link",
+        "repro.obs",
+        "repro.perf",
+        "repro.phy.error",
+        "repro.phy.mcs",
+        "repro.phy.phy80211n",
+        "repro.phy.rate_control",
+        "repro.sim.monitor",
+        "repro.sim.random",
+        "repro.store",
+    },
+    "CHAOS_CODE_MODULES": {
+        "repro.airframe.battery",
+        "repro.airframe.platform",
+        "repro.channel.channel",
+        "repro.channel.fading",
+        "repro.channel.linkbudget",
+        "repro.channel.mobility",
+        "repro.channel.pathloss",
+        "repro.core.delay",
+        "repro.core.failure",
+        "repro.core.mission",
+        "repro.core.optimizer",
+        "repro.core.scenario",
+        "repro.core.strategies",
+        "repro.core.throughput",
+        "repro.core.utility",
+        "repro.engine",
+        "repro.engine.batch",
+        "repro.engine.cache",
+        "repro.exec",
+        "repro.faults.chaos",
+        "repro.faults.injector",
+        "repro.faults.outage",
+        "repro.faults.plan",
+        "repro.geo.coords",
+        "repro.mac.aggregation",
+        "repro.mac.dcf",
+        "repro.mac.frames",
+        "repro.measurements.datasets",
+        "repro.mission.ferry",
+        "repro.net.link",
+        "repro.net.packets",
+        "repro.net.retry",
+        "repro.net.udp",
+        "repro.obs",
+        "repro.obs.events",
+        "repro.phy.error",
+        "repro.phy.mcs",
+        "repro.phy.phy80211n",
+        "repro.phy.rate_control",
+        "repro.sim.kernel",
+        "repro.sim.monitor",
+        "repro.sim.random",
+    },
+    "RELAY_CODE_MODULES": {
+        "repro.airframe.platform",
+        "repro.core.delay",
+        "repro.core.failure",
+        "repro.core.mission",
+        "repro.core.optimizer",
+        "repro.core.scenario",
+        "repro.core.throughput",
+        "repro.core.utility",
+        "repro.engine",
+        "repro.engine.batch",
+        "repro.engine.cache",
+        "repro.exec",
+        "repro.measurements.datasets",
+        "repro.obs",
+        "repro.relay.batch",
+        "repro.relay.chain",
+        "repro.relay.solver",
+    },
+    "SOLVER_CODE_MODULES": {
+        "repro.airframe.platform",
+        "repro.core.delay",
+        "repro.core.failure",
+        "repro.core.mission",
+        "repro.core.optimizer",
+        "repro.core.scenario",
+        "repro.core.throughput",
+        "repro.core.utility",
+        "repro.engine",
+        "repro.engine.batch",
+        "repro.engine.cache",
+        "repro.exec",
+        "repro.measurements.datasets",
+        "repro.obs",
+    },
+}
+
+
+#: The lazy package ``__init__``s' own edges, as they stood when every
+#: re-export was eager.  A loader using ``importlib.import_module`` on
+#: a string would drop its edge here.
+REAL_INIT_EDGES = {
+    "repro": {"repro.api", "repro.core"},
+    "repro.airframe": {
+        "repro.airframe.autopilot",
+        "repro.airframe.battery",
+        "repro.airframe.dynamics",
+        "repro.airframe.platform",
+    },
+    "repro.core": {
+        "repro.core.analysis",
+        "repro.core.deadline",
+        "repro.core.delay",
+        "repro.core.failure",
+        "repro.core.mission",
+        "repro.core.optimizer",
+        "repro.core.planner",
+        "repro.core.scenario",
+        "repro.core.schedule",
+        "repro.core.strategies",
+        "repro.core.throughput",
+        "repro.core.utility",
+    },
+    "repro.faults": {
+        "repro.faults.chaos",
+        "repro.faults.injector",
+        "repro.faults.outage",
+        "repro.faults.plan",
+        "repro.net.retry",
+    },
+    "repro.measurements": {
+        "repro.measurements.batch",
+        "repro.measurements.campaign",
+        "repro.measurements.datasets",
+        "repro.measurements.fitting",
+        "repro.measurements.validate",
+    },
+    "repro.obs": {
+        "repro.obs.context",
+        "repro.obs.events",
+        "repro.obs.manifest",
+        "repro.obs.metrics",
+        "repro.obs.summarize",
+        "repro.obs.trace",
+    },
+    "repro.relay": {
+        "repro.relay.batch",
+        "repro.relay.campaign",
+        "repro.relay.chain",
+        "repro.relay.solver",
+        "repro.relay.transfer",
+    },
+}
+
+
 class TestModuleName:
     def test_plain_module(self):
         assert module_name("engine/batch.py") == "repro.engine.batch"
@@ -143,6 +312,36 @@ class TestImportGraph:
         closure = graph.closure("repro.engine.batch")
         assert "repro.core.delay" in closure
 
+    def test_pep562_loader_imports_are_edges(self):
+        # A lazy package ``__init__`` re-exports through a PEP 562
+        # ``__getattr__``; its literal function-local import is still
+        # an edge, so the closure of a consumer reaches the submodule.
+        program = _program(
+            {
+                "measurements/__init__.py": (
+                    "from .datasets import FIT\n"
+                    "def __getattr__(name):\n"
+                    "    if name == 'run_campaign':\n"
+                    "        from . import batch as source\n"
+                    "    else:\n"
+                    "        raise AttributeError(name)\n"
+                    "    return getattr(source, name)\n"
+                ),
+                "measurements/batch.py": "from repro.net import link\n",
+                "measurements/datasets.py": "FIT = 1\n",
+                "net/link.py": "X = 1\n",
+                "cli.py": "from repro.measurements import run_campaign\n",
+            }
+        )
+        graph = program.graph
+        assert graph.edges["repro.measurements"] == {
+            "repro.measurements.batch",
+            "repro.measurements.datasets",
+        }
+        assert not graph.by_module["repro.measurements"].is_shim
+        closure = graph.closure("repro.cli")
+        assert {"repro.measurements.batch", "repro.net.link"} <= closure
+
     def test_external_imports_ignored(self):
         program = _program(
             {"engine/batch.py": "import numpy as np\nfrom time import time\n"}
@@ -226,3 +425,16 @@ class TestGraphOnRealTree:
         assert len(graph.modules()) == len(
             [s for s in program.summaries.values() if s.module]
         )
+
+    @pytest.mark.parametrize("tuple_name", sorted(REAL_CLOSURES))
+    def test_entry_closures_unchanged(self, program, tuple_name):
+        from repro.analysis.graphrules import ENTRY_MODULES, PRUNE_PREFIXES
+
+        closure = program.graph.closure(
+            ENTRY_MODULES[tuple_name], prune=PRUNE_PREFIXES
+        )
+        assert closure == REAL_CLOSURES[tuple_name]
+
+    @pytest.mark.parametrize("package", sorted(REAL_INIT_EDGES))
+    def test_lazy_init_edges_unchanged(self, program, package):
+        assert program.graph.edges[package] == REAL_INIT_EDGES[package]
