@@ -55,6 +55,25 @@ def doppler_coherence_time_s(
     return 0.423 / doppler_hz
 
 
+def _memo_matches(key: "float | np.ndarray", values, n_replicas: int) -> bool:
+    """Whether per-replica ``values`` equal the memo ``key`` element-wise.
+
+    ``key`` is a float (the memo was filled from a scalar) or a private
+    array copy, so a caller who rewrites an input array in place
+    between calls misses.  Compares as ``np.array_equal`` of both sides
+    expanded to ``(n_replicas,)``, but a Python scalar against a float
+    key is one float comparison and an array is one reduction.  Values
+    of any other shape never match, so the caller's miss path validates
+    them.
+    """
+    if isinstance(key, float) and isinstance(values, (int, float)):
+        return float(values) == key
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != () and arr.shape != (n_replicas,):
+        return False
+    return bool((arr == key).all())
+
+
 @dataclass(frozen=True)
 class ShadowingConfig:
     """Parameters of the slow attitude/orientation fading process."""
@@ -154,12 +173,23 @@ class BatchGaussMarkovShadowing:
 
     def sample(self, now_s: np.ndarray) -> np.ndarray:
         """Per-replica shadowing (dB) at the per-replica clocks ``now_s``."""
-        cfg = self.config
         now = np.asarray(now_s, dtype=float)
         if now.shape != (self.n_replicas,):
             raise ValueError(
                 f"now_s must have shape ({self.n_replicas},), got {now.shape}"
             )
+        return self._advance(now.copy())
+
+    def _advance(self, now: np.ndarray) -> np.ndarray:
+        """:meth:`sample` on a validated ``(R,)`` float clock it now owns.
+
+        ``now`` is kept as the last-sample time without a copy, so the
+        caller must never write to it afterwards.
+        :class:`~repro.channel.channel.BatchAerialChannel` rebinds its
+        fading clock to a fresh array every epoch and calls this
+        directly.
+        """
+        cfg = self.config
         if self._last_time is not None:
             dt = np.maximum(0.0, now - self._last_time)
             if cfg.sigma_db > 0:
@@ -178,7 +208,7 @@ class BatchGaussMarkovShadowing:
                 self._in_dropout[expired] = (
                     self._rng.random(size=n_expired) < cfg.dropout_probability
                 )
-        self._last_time = now.copy()
+        self._last_time = now
         return np.where(
             self._in_dropout, self._value - cfg.dropout_depth_db, self._value
         )
@@ -258,6 +288,8 @@ class BatchRicianFading:
         self.k_factor_hover_db = k_factor_hover_db
         self.k_factor_floor_db = k_factor_floor_db
         self.speed_scale_mps = speed_scale_mps
+        self._speed_key: "float | np.ndarray | None" = None
+        self._nu = self._scale = np.zeros(0)
 
     def k_factor_db(self, relative_speed_mps: np.ndarray) -> np.ndarray:
         """Per-replica Rician K-factor (dB) at the given relative speeds."""
@@ -271,12 +303,28 @@ class BatchRicianFading:
 
     def sample_db(self, relative_speed_mps: np.ndarray) -> np.ndarray:
         """One fading realisation (dB) per replica, unit mean power."""
-        k_lin = np.power(10.0, self.k_factor_db(relative_speed_mps) / 10.0)
-        sigma2 = 1.0 / (2.0 * (k_lin + 1.0))
-        nu = np.sqrt(k_lin / (k_lin + 1.0))
-        scale = np.sqrt(sigma2)
+        nu, scale = self._envelope(relative_speed_mps)
         # Same composition as Generator.normal(loc, scale): loc+scale*z.
         x = nu + scale * self._rng.normal(0.0, 1.0, size=self.n_replicas)
         y = scale * self._rng.normal(0.0, 1.0, size=self.n_replicas)
         power = x * x + y * y
         return 10.0 * np.log10(np.maximum(power, 1e-12))
+
+    def _envelope(self, relative_speed_mps) -> "tuple[np.ndarray, np.ndarray]":
+        """(LOS amplitude nu, scatter sigma) at these speeds.
+
+        Both depend on the speed alone, and a campaign holds the speed
+        fixed, so they are recomputed (and the speeds validated) only
+        when the speed values change.
+        """
+        if self._speed_key is not None and _memo_matches(
+            self._speed_key, relative_speed_mps, self.n_replicas
+        ):
+            return self._nu, self._scale
+        speeds = np.asarray(relative_speed_mps, dtype=float)
+        k_lin = np.power(10.0, self.k_factor_db(speeds) / 10.0)
+        sigma2 = 1.0 / (2.0 * (k_lin + 1.0))
+        self._nu = np.sqrt(k_lin / (k_lin + 1.0))
+        self._scale = np.sqrt(sigma2)
+        self._speed_key = float(speeds) if speeds.ndim == 0 else speeds.copy()
+        return self._nu, self._scale

@@ -241,10 +241,12 @@ class BatchWirelessLink:
         result_air = np.minimum(dt, n_bursts * airtime)
         if sending is not None:
             result_air = np.where(sending, result_air, 0.0)
+        # Every array here is fresh for this epoch except ``mcs``, which
+        # a controller may return read-only from its own state.
         return BatchLinkStepResult(
-            bytes_delivered=payload.astype(np.int64),
-            subframes_sent=total_sub.astype(np.int64),
-            subframes_delivered=delivered.astype(np.int64),
+            bytes_delivered=payload.astype(np.int64, copy=False),
+            subframes_sent=total_sub.astype(np.int64, copy=False),
+            subframes_delivered=delivered.astype(np.int64, copy=False),
             mcs_index=np.asarray(mcs, dtype=np.int64),
             snr_db=snr,
             airtime_s=result_air,

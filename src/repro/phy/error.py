@@ -147,15 +147,17 @@ class ErrorModel:
             raise ValueError("frame_bytes must be positive")
         snr = np.asarray(snr_db, dtype=float)
         mcs = np.asarray(mcs_index, dtype=np.int64)
-        thresholds, sdm = self._lookup_tables()
-        if np.any(mcs < 0) or np.any(mcs >= thresholds.shape[0]):
+        thresholds, sdm, has_gaps = self._lookup_tables()
+        # Viewed unsigned, a negative index is huge: one comparison
+        # checks both ends of the table.
+        if (mcs.view(np.uint64) >= thresholds.shape[0]).any():
             raise KeyError(f"no threshold for MCS indices {np.unique(mcs)}")
         thr = thresholds[mcs]
-        if np.any(np.isnan(thr)):
+        if has_gaps and np.isnan(thr).any():
             bad = np.unique(mcs[np.isnan(thr)])
             raise KeyError(f"no threshold for MCS indices {bad.tolist()}")
         x = (snr - thr) / self.slope_db
-        exp_x = np.exp(np.clip(x, -60.0, 60.0))
+        exp_x = np.exp(np.minimum(np.maximum(x, -60.0), 60.0))
         per_ref = np.where(
             x > 40.0, 0.0, np.where(x < -40.0, 1.0, 1.0 / (1.0 + exp_x))
         )
@@ -174,8 +176,15 @@ class ErrorModel:
         """Complement of :meth:`per_array`."""
         return 1.0 - self.per_array(snr_db, mcs_index, frame_bytes)
 
-    def _lookup_tables(self) -> "tuple[np.ndarray, np.ndarray]":
-        """(threshold, uses_sdm) arrays indexed by MCS (lazily built)."""
+    def _lookup_tables(self) -> "tuple[np.ndarray, np.ndarray, bool]":
+        """(threshold, uses_sdm, has_gaps) indexed by MCS (lazily built).
+
+        ``has_gaps`` says whether any entry is NaN: an index below the
+        largest with no threshold, or a NaN threshold.
+        ``__post_init__`` forces every ``MCS_TABLE`` index to be
+        present, so the shipped tables have none and :meth:`per_array`
+        skips its NaN check for them.
+        """
         cached = getattr(self, "_tables", None)
         if cached is None:
             size = max(self.thresholds_db) + 1
@@ -185,7 +194,7 @@ class ErrorModel:
                 thresholds[idx] = value
                 if idx in MCS_TABLE:
                     sdm[idx] = get_mcs(idx).uses_sdm
-            cached = (thresholds, sdm)
+            cached = (thresholds, sdm, bool(np.isnan(thresholds).any()))
             object.__setattr__(self, "_tables", cached)
         return cached
 

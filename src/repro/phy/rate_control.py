@@ -257,12 +257,13 @@ class BatchFixedMcs:
         ).copy()
         for idx in np.unique(indices):
             get_mcs(int(idx))  # validate
+        indices.flags.writeable = False
         self._indices = indices
 
     def select(
         self, now_s: float, snr_hint_db: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """The configured indices, unconditionally."""
+        """The configured indices (read-only), unconditionally."""
         return self._indices
 
     def feedback(
@@ -339,26 +340,25 @@ class BatchArfController:
         attempted: np.ndarray,
         succeeded: np.ndarray,
     ) -> None:
-        """Apply the per-replica down/up transitions in one pass."""
+        """Apply the per-replica down/up transitions in one pass.
+
+        Inactive replicas (nothing attempted) keep their state.  A
+        stored streak is always below ``up_streak`` (reaching it resets
+        it), so only this call's clean bursts can step up.
+        """
         attempted = np.asarray(attempted, dtype=np.int64)
         succeeded = np.asarray(succeeded, dtype=np.int64)
-        if np.any(attempted < 0) or np.any(succeeded < 0) or np.any(
-            succeeded > attempted
-        ):
+        # 0 <= succeeded <= attempted, which implies attempted >= 0.
+        if (np.minimum(succeeded, attempted - succeeded) < 0).any():
             raise ValueError("invalid feedback: succeeded must be in [0, attempted]")
         active = attempted > 0
-        if not active.any():
-            return
         ratio = succeeded / np.maximum(attempted, 1)
         down = active & (ratio < self._down_threshold)
-        self._clean_bursts[down] = 0
-        self._position[down] = np.maximum(self._position[down] - 1, 0)
-        clean = active & ~down
-        self._clean_bursts[clean] += 1
-        up = clean & (self._clean_bursts >= self._up_streak)
-        self._clean_bursts[up] = 0
-        self._position[up] = np.minimum(
-            self._position[up] + 1, self._chain.size - 1
+        streak = np.where(down, 0, self._clean_bursts + active)
+        up = streak >= self._up_streak
+        self._clean_bursts = np.where(up, 0, streak)
+        self._position = np.minimum(
+            np.maximum(self._position + up - down, 0), self._chain.size - 1
         )
 
 
@@ -396,6 +396,9 @@ class BatchBestMcsOracle:
         self._last_choice = np.full(
             n_replicas, self._candidates[0], dtype=np.int64
         )
+        self._last_choice.flags.writeable = False
+        # Private copy of the hint behind _last_choice (None: no hint yet).
+        self._last_hint: Optional[np.ndarray] = None
 
     @property
     def candidates(self) -> List[int]:
@@ -416,12 +419,28 @@ class BatchBestMcsOracle:
     def select(
         self, now_s: float, snr_hint_db: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Per-replica goodput-maximising candidates for the hinted SNR."""
+        """Per-replica goodput-maximising candidates for the hinted SNR.
+
+        The choice is a pure function of the hint, which a campaign
+        holds fixed (the memoised mean SNR), so it is recomputed only
+        when the hint values change.  The result is read-only.
+        """
         if snr_hint_db is None:
             return self._last_choice
-        goodput = self.expected_goodput_bps(snr_hint_db)
-        self._last_choice = self._candidates[np.argmax(goodput, axis=0)]
-        return self._last_choice
+        hint = np.asarray(snr_hint_db, dtype=float)
+        last = self._last_hint
+        if (
+            last is not None
+            and hint.shape == last.shape
+            and (hint == last).all()
+        ):
+            return self._last_choice
+        goodput = self.expected_goodput_bps(hint)
+        choice = self._candidates[np.argmax(goodput, axis=0)]
+        choice.flags.writeable = False
+        self._last_choice = choice
+        self._last_hint = hint.copy()
+        return choice
 
     def feedback(
         self, now_s: float, mcs_index, attempted, succeeded

@@ -211,3 +211,106 @@ class TestBatchSemantics:
         assert goodput.shape == (4,)
         assert np.all(goodput >= 0.0)
         assert goodput[0] > goodput[3]
+
+
+class TestReturnedArraysOwnNoState:
+    """Writing to a step result never reaches into controller state."""
+
+    @pytest.mark.parametrize("spec", ["arf", "fixed:3", "oracle"])
+    def test_mcs_index_does_not_alias_controller(self, spec):
+        _, batched = make_pair(spec, n_replicas=4)
+        distances = np.array([50.0, 100.0, 200.0, 300.0])
+        step = batched.step(0.0, distance_m=distances)
+        # Without a hint the oracle repeats its last choice.
+        want = np.array(batched.controller.select(0.02))
+        try:
+            step.mcs_index[:] = 0
+        except ValueError:
+            pass  # read-only is as good as a copy
+        hint = batched.channel.mean_snr_db_batch(distances)
+        np.testing.assert_array_equal(batched.controller.select(0.02), want)
+        np.testing.assert_array_equal(
+            batched.controller.select(0.02, snr_hint_db=hint), want
+        )
+
+    def test_mean_snr_does_not_alias_memo(self):
+        _, batched = make_pair("oracle", n_replicas=3)
+        distances = np.array([60.0, 120.0, 240.0])
+        mean = batched.channel.mean_snr_db_batch(distances)
+        want = mean.copy()
+        try:
+            mean[:] = 99.0
+        except ValueError:
+            pass
+        np.testing.assert_array_equal(
+            batched.channel.mean_snr_db_batch(distances), want
+        )
+
+
+class TestMeanMemo:
+    """The per-step memo checks must see every change a replay sees."""
+
+    def test_in_place_distance_change_matches_fresh_replay(self):
+        first = np.array([50.0, 100.0, 150.0])
+        second = np.array([200.0, 250.0, 300.0])
+        for spec in ("arf", "oracle"):
+            _, mutated = make_pair(spec, seed=11, n_replicas=3)
+            _, fresh = make_pair(spec, seed=11, n_replicas=3)
+            distances = first.copy()
+            mutated.step(0.0, distance_m=distances)
+            fresh.step(0.0, distance_m=first)
+            distances[:] = second  # same array object, new values
+            got = mutated.step(0.02, distance_m=distances)
+            want = fresh.step(0.02, distance_m=second)
+            for name in ("snr_db", "mcs_index", "bytes_delivered"):
+                np.testing.assert_array_equal(
+                    getattr(got, name), getattr(want, name)
+                )
+            np.testing.assert_array_equal(
+                mutated.channel.mean_snr_db_batch(distances),
+                fresh.channel.mean_snr_db_batch(second),
+            )
+
+    def test_in_place_speed_change_matches_fresh_replay(self):
+        _, mutated = make_pair(
+            "arf", seed=4, profile_fn=quadrocopter_profile, n_replicas=2
+        )
+        _, fresh = make_pair(
+            "arf", seed=4, profile_fn=quadrocopter_profile, n_replicas=2
+        )
+        speeds = np.array([0.0, 2.0])
+        mutated.step(0.0, distance_m=40.0, relative_speed_mps=speeds)
+        fresh.step(0.0, distance_m=40.0, relative_speed_mps=np.array([0.0, 2.0]))
+        speeds[:] = [9.0, 5.0]
+        for now in (0.02, 0.04):
+            got = mutated.step(now, distance_m=40.0, relative_speed_mps=speeds)
+            want = fresh.step(
+                now, distance_m=40.0, relative_speed_mps=np.array([9.0, 5.0])
+            )
+            np.testing.assert_array_equal(got.snr_db, want.snr_db)
+
+    def test_scalar_and_expanded_inputs_share_the_memo(self):
+        channel = BatchAerialChannel(airplane_profile(), 3, RandomStreams(0))
+        a = channel.mean_snr_db_batch(100.0, 0.0)
+        b = channel.mean_snr_db_batch(np.full(3, 100.0), np.zeros(3))
+        c = channel.mean_snr_db_batch(100, 0)
+        assert (channel.mean_cache_misses, channel.mean_cache_hits) == (1, 2)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
+
+    def test_negative_speed_raises_on_first_use(self):
+        channel = BatchAerialChannel(airplane_profile(), 2, RandomStreams(0))
+        with pytest.raises(ValueError, match="non-negative"):
+            channel.sample_snr_db_batch(0.0, 100.0, -1.0)
+        channel = BatchAerialChannel(airplane_profile(), 2, RandomStreams(0))
+        channel.sample_snr_db_batch(0.0, 100.0, 3.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            channel.sample_snr_db_batch(0.02, 100.0, np.array([3.0, -0.5]))
+
+    def test_bad_shapes_still_rejected_after_a_hit(self):
+        channel = BatchAerialChannel(airplane_profile(), 3, RandomStreams(0))
+        channel.mean_snr_db_batch(np.full(3, 100.0))
+        with pytest.raises(ValueError, match="distance_m"):
+            channel.mean_snr_db_batch(np.full(1, 100.0))
+        with pytest.raises(ValueError, match="relative_speed_mps"):
+            channel.mean_snr_db_batch(100.0, np.zeros(2))

@@ -1,5 +1,6 @@
 """Tests for the SNR-to-PER error model."""
 
+import numpy as np
 import pytest
 
 from repro.phy import (
@@ -91,3 +92,23 @@ class TestRequiredSnr:
     def test_invalid_target_rejected(self, model):
         with pytest.raises(ValueError):
             model.required_snr_db(0, target_per=0.0)
+
+
+class TestPerArrayGuards:
+    @pytest.mark.parametrize("bad", [-1, 16, 99])
+    def test_out_of_table_index_rejected(self, model, bad):
+        with pytest.raises(KeyError):
+            model.per_array(np.array([10.0, 10.0]), np.array([3, bad]))
+
+    def test_table_gap_rejected(self):
+        thresholds = dict(AERIAL_THRESHOLDS)
+        thresholds[20] = 5.0  # indices 16..19 have no threshold
+        gapped = ErrorModel(thresholds_db=thresholds)
+        with pytest.raises(KeyError, match="17"):
+            gapped.per_array(np.array([10.0, 10.0]), np.array([3, 17]))
+        assert 0.0 <= gapped.per_array(np.array([10.0]), np.array([20]))[0] <= 1.0
+
+    def test_every_table_index_accepted(self, model):
+        indices = np.array(sorted(all_mcs_indices()))
+        per = model.per_array(np.full(indices.shape, 12.0), indices)
+        assert per.tolist() == [model.per(12.0, int(i)) for i in indices]

@@ -5,6 +5,8 @@ import pytest
 
 from repro.phy import (
     ArfController,
+    BatchArfController,
+    BatchBestMcsOracle,
     BestMcsOracle,
     ErrorModel,
     FixedMcs,
@@ -145,3 +147,52 @@ class TestMinstrel:
         ctrl = MinstrelController(rng=np.random.default_rng(5))
         with pytest.raises(ValueError):
             ctrl.feedback(0.0, 0, 5, 6)
+
+
+class TestBatchOracleMemo:
+    def test_repeated_hint_reuses_choice_and_matches_recompute(self):
+        oracle = BatchBestMcsOracle(ErrorModel(), 4)
+        hint = np.array([0.0, 8.0, 15.0, 30.0])
+        first = oracle.select(0.0, snr_hint_db=hint)
+        assert oracle.select(0.02, snr_hint_db=hint.copy()) is first
+        fresh = BatchBestMcsOracle(ErrorModel(), 4).select(0.0, snr_hint_db=hint)
+        np.testing.assert_array_equal(first, fresh)
+
+    def test_hint_rewritten_in_place_is_seen(self):
+        oracle = BatchBestMcsOracle(ErrorModel(), 2)
+        hint = np.array([30.0, 30.0])
+        high = oracle.select(0.0, snr_hint_db=hint).copy()
+        hint[:] = 0.0
+        low = oracle.select(0.02, snr_hint_db=hint)
+        want = BatchBestMcsOracle(ErrorModel(), 2).select(
+            0.0, snr_hint_db=np.zeros(2)
+        )
+        np.testing.assert_array_equal(low, want)
+        assert not np.array_equal(low, high)
+
+
+class TestBatchArfFeedback:
+    def test_replicas_track_scalar_twins(self):
+        """Random outcomes, idle replicas included, replica by replica."""
+        rng = np.random.default_rng(7)
+        n = 16
+        batched = BatchArfController(n, up_streak=3)
+        scalars = [ArfController(up_streak=3) for _ in range(n)]
+        for step in range(400):
+            mcs = batched.select(float(step))
+            assert mcs.tolist() == [c.select(float(step)) for c in scalars]
+            attempted = rng.integers(0, 5, n)
+            succeeded = rng.binomial(attempted, rng.uniform(0.0, 1.0, n))
+            batched.feedback(float(step), mcs, attempted, succeeded)
+            for c, m, a, s in zip(scalars, mcs, attempted, succeeded):
+                c.feedback(float(step), int(m), int(a), int(s))
+
+    @pytest.mark.parametrize(
+        "attempted,succeeded",
+        [([4, -1], [0, 0]), ([4, 2], [-1, 0]), ([4, 2], [5, 0])],
+    )
+    def test_invalid_feedback_rejected(self, attempted, succeeded):
+        ctrl = BatchArfController(2)
+        with pytest.raises(ValueError, match="invalid feedback"):
+            ctrl.feedback(0.0, ctrl.select(0.0), attempted, succeeded)
+        np.testing.assert_array_equal(ctrl.positions, [0, 0])
