@@ -4,7 +4,10 @@ Measures decisions/second at fleet sizes N in {1, 100, 10000} and the
 speedup of :class:`repro.engine.BatchSolverEngine` over solving each
 scenario with :class:`repro.core.optimizer.DistanceOptimizer` in a
 Python loop, plus the maximum distance deviation between the two
-(must stay within the engine's ``refine_tolerance_m``).
+(must stay within the engine's ``refine_tolerance_m``).  At N = 10k it
+also checks that a seeded sample of batch rows is bitwise equal, every
+column and ``tolerance_m``, to a fresh engine's one-at-a-time
+``solve`` (the kernel is row-local, so the batch may not change a bit).
 
 Run standalone (prints the full table, asserts the >= 20x target):
 
@@ -19,7 +22,10 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import astuple
 from typing import List
+
+import numpy as np
 
 from repro.api import (
     BatchSolverEngine,
@@ -38,6 +44,9 @@ SCALAR_SAMPLE_CAP = 1_000
 
 #: The acceptance target at N = 10k.
 TARGET_SPEEDUP_10K = 20.0
+
+#: Rows of the N = 10k batch re-solved one at a time for the bitwise check.
+BITWISE_SAMPLE = 1_000
 
 
 def make_fleet(n: int) -> List[Scenario]:
@@ -86,6 +95,22 @@ def scalar_solve_all(
     return out
 
 
+def bitwise_mismatches(fleet: List[Scenario], batch, seed: int = 0) -> int:
+    """Sampled rows of ``batch`` whose bytes differ from a fresh engine's
+    per-row :meth:`~repro.engine.BatchSolverEngine.solve`."""
+    picks = np.random.default_rng(seed).choice(
+        len(fleet), min(len(fleet), BITWISE_SAMPLE), replace=False
+    )
+    engine = BatchSolverEngine()
+    bad = 0
+    for i in picks:
+        want = engine.solve(fleet[i])
+        got = batch[int(i)]
+        if np.array(astuple(got)).tobytes() != np.array(astuple(want)).tobytes():
+            bad += 1
+    return bad
+
+
 def measure(n: int) -> dict:
     """Time scalar vs batch on a fresh N-scenario fleet."""
     fleet = make_fleet(n)
@@ -112,6 +137,9 @@ def measure(n: int) -> dict:
         "speedup": scalar_s / batch_s,
         "max_deviation_m": max_dev,
         "tolerance_m": engine.refine_tolerance_m,
+        "bitwise_mismatches": (
+            bitwise_mismatches(fleet, batch) if n >= 10_000 else 0
+        ),
     }
 
 
@@ -130,12 +158,15 @@ def main() -> int:
     final = results[-1]
     ok = final["speedup"] >= TARGET_SPEEDUP_10K
     within = all(r["max_deviation_m"] <= r["tolerance_m"] for r in results)
+    bitwise = final["bitwise_mismatches"] == 0
     print(
         f"\nN=10k target >= {TARGET_SPEEDUP_10K:.0f}x: "
         f"{'PASS' if ok else 'FAIL'} ({final['speedup']:.1f}x); "
-        f"deviations within refine tolerance: {'yes' if within else 'NO'}"
+        f"deviations within refine tolerance: {'yes' if within else 'NO'}; "
+        f"{BITWISE_SAMPLE} sampled rows bitwise equal to per-row solve: "
+        f"{'yes' if bitwise else 'NO (%d differ)' % final['bitwise_mismatches']}"
     )
-    return 0 if ok and within else 1
+    return 0 if ok and within and bitwise else 1
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +184,7 @@ def test_batch_engine_n10k_beats_scalar_20x(benchmark):
     r = benchmark.pedantic(measure, args=(10_000,), rounds=1, iterations=1)
     assert r["speedup"] >= TARGET_SPEEDUP_10K
     assert r["max_deviation_m"] <= r["tolerance_m"]
+    assert r["bitwise_mismatches"] == 0
 
 
 def test_scalar_baseline_single(benchmark):

@@ -16,8 +16,12 @@ scenarios per NumPy pass, through the one Eq. 2 kernel
    vectorised rescan of their bracket on a finer sub-grid; there is no
    scalar fallback.
 4. **Memoisation** — solved instances are cached by their full
-   parameter tuple in an LRU, so planners re-solving the same geometry
-   and repeated sweeps cost one hash lookup.
+   parameter tuple in an LRU whose values are plain 9-float row tuples
+   (one per result column), so planners re-solving the same geometry
+   and repeated sweeps cost one hash lookup.  A batch reads and writes
+   the memo under one lock each and never builds per-row objects: its
+   result stays columnar from the gathered parameters to
+   :class:`BatchResult`.
 5. **Chunked fan-out** — very large batches are split into chunks
    solved on the persistent :mod:`repro.exec` thread pool (NumPy
    releases the GIL for the heavy array ops).  Every kernel step is
@@ -28,7 +32,7 @@ scenarios per NumPy pass, through the one Eq. 2 kernel
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,6 +125,12 @@ class BatchResult:
         return [decision.to_dict() for decision in self]
 
 
+#: Result columns per row: every :class:`BatchResult` field but
+#: ``tolerance_m``, in field order.  A solved chunk's block rows and a
+#: memoised row tuple follow this order.
+_N_COLUMNS = len(fields(BatchResult)) - 1
+
+
 class _Params:
     """Stacked parameter arrays for one chunk of scenarios."""
 
@@ -149,18 +159,29 @@ class _Params:
     def __len__(self) -> int:
         return len(self.scenarios)
 
+    def validate(self) -> None:
+        """Raise the Eq. 2 constraint error of the first offending row."""
+        bad = (self.v <= 0) | (self.bits <= 0) | (self.d0 < self.dmin)
+        if bad.any():
+            _check_scenario(self.scenarios[int(np.argmax(bad))])
+
     # ------------------------------------------------------------------
     def throughput(self, d: np.ndarray) -> np.ndarray:
         """``s(d)`` for row-aligned distances ``d`` of shape (N,) or (N, G)."""
-        s = np.empty_like(d)
-        if self.logfit_mask.any():
-            slope = self.slope[self.logfit_mask]
-            intercept = self.intercept[self.logfit_mask]
-            if d.ndim == 2:
-                slope = slope[:, None]
-                intercept = intercept[:, None]
-            mbps = slope * np.log2(d[self.logfit_mask]) + intercept
-            s[self.logfit_mask] = np.maximum(MIN_THROUGHPUT_BPS, mbps * 1e6)
+        logfit, slope, intercept = self.logfit_mask, self.slope, self.intercept
+        if d.ndim == 2:
+            logfit = logfit[:, None]
+            slope = slope[:, None]
+            intercept = intercept[:, None]
+        # The log-fit law over the whole block, in place.  Other rows
+        # skip the log (their ``d`` may be any value), have slope and
+        # intercept 0, and are overwritten row by row below.
+        s = np.zeros_like(d)
+        np.log2(d, out=s, where=logfit)
+        s *= slope
+        s += intercept
+        s *= 1e6
+        np.maximum(MIN_THROUGHPUT_BPS, s, out=s)
         for i in self.other_rows:
             s[i] = throughput_bps_array(self.models[i], d[i])
         return s
@@ -174,9 +195,17 @@ class _Params:
             )
         else:
             d0, v, bits, rho = self.d0, self.v, self.bits, self.rho
-        gap = np.maximum(0.0, d0 - d)
-        cdelay = gap / v + bits / self.throughput(d)
-        return np.exp(-rho * gap) / cdelay
+        # Eq. 1 term by term into three temporaries; in-place ufuncs
+        # round exactly as the out-of-place expression would.
+        gap = np.subtract(d0, d)
+        np.maximum(0.0, gap, out=gap)
+        cdelay = gap / v
+        transmission = self.throughput(d)
+        cdelay += np.divide(bits, transmission, out=transmission)
+        u = np.multiply(-rho, gap, out=gap)
+        np.exp(u, out=u)
+        u /= cdelay
+        return u
 
     def breakdown(self, d: np.ndarray) -> Tuple[np.ndarray, ...]:
         """(utility, cdelay, shipping, transmission, discount) at ``d``."""
@@ -257,14 +286,13 @@ class BatchSolverEngine:
     ) -> Tuple[OptimalDecision, bool]:
         """One memoised solve; returns ``(decision, was_cache_hit)``."""
         key = self._key(scenario)
-        if key is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached, True
-        decision = self._solve_chunk([scenario])[0][0]
-        if key is not None:
-            self._cache.put(key, decision)
-        return decision, False
+        row = self._cache.get(key) if key is not None else None
+        hit = row is not None
+        if not hit:
+            row = tuple(self._solve_chunk([scenario])[0][:, 0].tolist())
+            if key is not None:
+                self._cache.put(key, row)
+        return OptimalDecision(*row, tolerance_m=self._tolerance_m()), hit
 
     def solve_batch(
         self,
@@ -293,16 +321,15 @@ class BatchSolverEngine:
         parallel: Optional[bool],
         obs: Optional["ObsContext"],
     ) -> BatchResult:
-        results: List[Optional[OptimalDecision]] = [None] * len(scenario_list)
+        n = len(scenario_list)
         keys = [self._key(s) for s in scenario_list]
-        miss_idx = []
+        rows = self._cache.get_many(keys)
+        miss_idx = [i for i, row in enumerate(rows) if row is None]
+        block = np.empty((_N_COLUMNS, n))
         rescan_rows = 0
-        for i, key in enumerate(keys):
-            cached = self._cache.get(key) if key is not None else None
-            if cached is not None:
-                results[i] = cached
-            else:
-                miss_idx.append(i)
+        if len(miss_idx) < n:
+            hit_idx = [i for i, row in enumerate(rows) if row is not None]
+            block[:, hit_idx] = np.array([rows[i] for i in hit_idx]).T
 
         if miss_idx:
             misses = [scenario_list[i] for i in miss_idx]
@@ -323,16 +350,16 @@ class BatchSolverEngine:
                 )
             else:
                 solved_chunks = [self._solve_chunk(chunk) for chunk in chunks]
-            rescan_rows = sum(n for _, n in solved_chunks)
-            solved = [d for chunk, _ in solved_chunks for d in chunk]
-            for i, decision in zip(miss_idx, solved):
-                results[i] = decision
-                if keys[i] is not None:
-                    self._cache.put(keys[i], decision)
+            rescan_rows = sum(rescans for _, rescans in solved_chunks)
+            solved = np.concatenate([cols for cols, _ in solved_chunks], axis=1)
+            block[:, miss_idx] = solved
+            self._cache.put_many(
+                zip([keys[i] for i in miss_idx], zip(*solved.tolist()))
+            )
 
         if obs is not None and obs.metrics is not None:
             metrics = obs.metrics
-            hits = len(scenario_list) - len(miss_idx)
+            hits = n - len(miss_idx)
             if hits:
                 metrics.counter("engine.cache.hits").inc(hits)
             if miss_idx:
@@ -342,8 +369,11 @@ class BatchSolverEngine:
             metrics.counter("engine.batches").inc()
             metrics.histogram(
                 "engine.batch.size", _BATCH_SIZE_EDGES
-            ).observe(len(scenario_list))
-        return BatchResult.from_decisions(results)  # type: ignore[arg-type]
+            ).observe(n)
+        # Columns are views of the block's rows.  An empty batch keeps
+        # the 1e-6 m default resolution.
+        tolerance = self._tolerance_m() if n else 1e-6
+        return BatchResult(*block, tolerance_m=tolerance)
 
     def breakdown_at(
         self,
@@ -425,25 +455,21 @@ class BatchSolverEngine:
             return None
         return (base, self.grid_step_m, self.refine_tolerance_m)
 
+    def _tolerance_m(self) -> float:
+        """Resolution stamped on every decision this engine solves."""
+        return max(self.refine_tolerance_m, 1e-6)
+
     def _solve_chunk(
         self, scenarios: Sequence["Scenario"]
-    ) -> Tuple[List[OptimalDecision], int]:
+    ) -> Tuple[np.ndarray, int]:
         """The Eq. 2 kernel over one chunk of scenarios.
 
-        Returns the decisions and how many rows took the non-concave
-        rescan (see :func:`~repro.core.optimizer.argmax_utility`).
+        Returns the ``(9, n)`` result block (rows in :class:`BatchResult`
+        field order) and how many rows took the non-concave rescan (see
+        :func:`~repro.core.optimizer.argmax_utility`).
         """
-        for s in scenarios:
-            if s.cruise_speed_mps <= 0:
-                raise ValueError("speed must be positive (Eq. 2 constraint)")
-            if s.data_bits <= 0:
-                raise ValueError("data size must be positive (Eq. 2 constraint)")
-            if s.contact_distance_m < s.min_distance_m:
-                raise ValueError(
-                    f"contact distance {s.contact_distance_m} below the "
-                    f"floor {s.min_distance_m}"
-                )
         params = _Params(scenarios)
+        params.validate()
         best, rescan_rows = argmax_utility(
             params.dmin,
             params.d0,
@@ -451,24 +477,23 @@ class BatchSolverEngine:
             self.grid_step_m,
             self.refine_tolerance_m,
         )
-        utility, cdelay, shipping, transmission, discount = params.breakdown(best)
-        tolerance = max(self.refine_tolerance_m, 1e-6)
-        decisions = [
-            OptimalDecision(
-                distance_m=float(best[i]),
-                utility=float(utility[i]),
-                cdelay_s=float(cdelay[i]),
-                shipping_s=float(shipping[i]),
-                transmission_s=float(transmission[i]),
-                discount=float(discount[i]),
-                contact_distance_m=float(params.d0[i]),
-                speed_mps=float(params.v[i]),
-                data_bits=float(params.bits[i]),
-                tolerance_m=tolerance,
-            )
-            for i in range(len(params))
-        ]
-        return decisions, rescan_rows
+        block = np.stack(
+            (best, *params.breakdown(best), params.d0, params.v, params.bits)
+        )
+        return block, rescan_rows
+
+
+def _check_scenario(s: "Scenario") -> None:
+    """The Eq. 2 constraints, checked in order on one scenario."""
+    if s.cruise_speed_mps <= 0:
+        raise ValueError("speed must be positive (Eq. 2 constraint)")
+    if s.data_bits <= 0:
+        raise ValueError("data size must be positive (Eq. 2 constraint)")
+    if s.contact_distance_m < s.min_distance_m:
+        raise ValueError(
+            f"contact distance {s.contact_distance_m} below the "
+            f"floor {s.min_distance_m}"
+        )
 
 
 _DEFAULT_ENGINE: Optional[BatchSolverEngine] = None

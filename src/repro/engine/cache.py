@@ -15,9 +15,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["CacheInfo", "LruCache"]
+
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,57 @@ class LruCache:
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
+
+    def get_many(self, keys: Sequence[Optional[Hashable]]) -> List[Optional[Any]]:
+        """:meth:`get` for each key under one lock acquisition.
+
+        ``None`` keys (uncacheable instances) yield ``None`` and are not
+        counted; counters and recency end exactly as the per-key loop
+        would leave them.
+        """
+        if self.maxsize == 0:
+            return [None] * len(keys)
+        values: List[Optional[Any]] = []
+        append = values.append
+        hits = misses = 0
+        with self._lock:
+            data = self._data
+            lookup = data.get
+            refresh = data.move_to_end
+            for key in keys:
+                if key is None:
+                    append(None)
+                    continue
+                value = lookup(key, _MISSING)
+                if value is _MISSING:
+                    misses += 1
+                    append(None)
+                else:
+                    refresh(key)
+                    hits += 1
+                    append(value)
+            self._hits += hits
+            self._misses += misses
+        return values
+
+    def put_many(self, items: Iterable[Tuple[Optional[Hashable], Any]]) -> None:
+        """:meth:`put` for each ``(key, value)`` under one lock.
+
+        ``None`` keys are skipped.  Evicting once at the end leaves the
+        same entries in the same order as evicting after every insert:
+        either way the survivors are the ``maxsize`` most recent keys.
+        """
+        if self.maxsize == 0:
+            return
+        with self._lock:
+            data = self._data
+            refresh = data.move_to_end
+            for key, value in items:
+                if key is not None:
+                    data[key] = value
+                    refresh(key)
+            while len(data) > self.maxsize:
+                data.popitem(last=False)
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""

@@ -332,3 +332,229 @@ class TestFacade:
             airplane_scenario().with_(warp_factor=9)
         with pytest.raises(ValueError):
             airplane_scenario().with_(mdata_mb=-1.0)
+
+
+# ----------------------------------------------------------------------
+# Columnar batch path: memo equivalence, aliasing, validation order
+# ----------------------------------------------------------------------
+
+COLUMNS = (
+    "distance_m", "utility", "cdelay_s", "shipping_s", "transmission_s",
+    "discount", "contact_distance_m", "speed_mps", "data_bits",
+)
+
+
+class OpaqueTable(TableThroughput):
+    """A table law that cannot describe itself: solved, never memoised."""
+
+    def cache_key(self):
+        return None
+
+
+def memo_pool():
+    """Eleven scenarios: eight log-fit rows, two uncacheable table rows
+    (8, 9) and one cacheable table row (10)."""
+    table = {20.0: 36e6, 40.0: 35e6, 60.0: 33e6, 100.0: 17.8e6}
+    return [
+        airplane_scenario(mdata_mb=5.0),
+        airplane_scenario(mdata_mb=28.0, rho_per_m=2e-3),
+        airplane_scenario(speed_mps=4.0, d0_m=150.0),
+        quadrocopter_scenario(),
+        quadrocopter_scenario(mdata_mb=10.0, d0_m=60.0),
+        quadrocopter_scenario(rho_per_m=8e-3),
+        airplane_scenario(rho_per_m=1e-2, d0_m=250.0),
+        quadrocopter_scenario(speed_mps=9.0, mdata_mb=30.0),
+        quadrocopter_scenario().with_(throughput=OpaqueTable(table)),
+        quadrocopter_scenario(mdata_mb=3.0).with_(throughput=OpaqueTable(table)),
+        quadrocopter_scenario(d0_m=90.0).with_(throughput=TableThroughput(table)),
+    ]
+
+
+#: ``cache_size`` and the batches (pool indices) each case solves in turn.
+MEMO_CASES = {
+    "mixed_hit_miss": (8, [[0, 1, 2, 8, 3], [2, 4, 0, 9, 5, 1], [10, 3, 8, 4]]),
+    "duplicates_in_batch": (8, [[0, 1, 0, 8, 1, 2, 8], [1, 0, 3, 3, 10, 10]]),
+    "uncacheable_only": (8, [[8, 9, 8], [9, 8]]),
+    "cache_size_zero": (0, [[0, 1, 0, 8], [0, 1, 0, 8]]),
+    "larger_than_cache": (
+        3, [[0, 1, 2, 3, 4, 5, 10], [5, 0, 10, 4, 6], [7, 6, 5, 6, 7, 1, 2, 9]]
+    ),
+}
+
+#: ``(hits, misses, currsize, LRU order as pool indices)`` after each
+#: batch, recorded from the engine that memoised whole
+#: ``OptimalDecision`` objects through one ``get``/``put`` per row.
+MEMO_EXPECTED = {
+    "cache_size_zero": [(0, 0, 0, []), (0, 0, 0, [])],
+    "duplicates_in_batch": [(0, 5, 3, [0, 1, 2]), (2, 9, 5, [2, 1, 0, 3, 10])],
+    "larger_than_cache": [
+        (0, 7, 3, [4, 5, 10]),
+        (3, 9, 3, [4, 0, 6]),
+        (5, 14, 3, [7, 1, 2]),
+    ],
+    "mixed_hit_miss": [
+        (0, 4, 4, [0, 1, 2, 3]),
+        (3, 6, 6, [3, 2, 0, 1, 4, 5]),
+        (5, 7, 7, [2, 0, 1, 5, 3, 4, 10]),
+    ],
+    "uncacheable_only": [(0, 0, 0, []), (0, 0, 0, [])],
+}
+
+
+def run_memo_case(name):
+    """Solve one case's batches; returns their results and the memo
+    state (see ``MEMO_EXPECTED``) after each."""
+    cache_size, batches = MEMO_CASES[name]
+    pool = memo_pool()
+    engine = fresh_engine(cache_size=cache_size)
+    index = {engine.point_key(s): i for i, s in enumerate(pool)}
+    results, states = [], []
+    for batch in batches:
+        results.append(engine.solve_batch([pool[i] for i in batch]))
+        info = engine.cache_info()
+        order = [index[key] for key in engine._cache._data]
+        states.append((info.hits, info.misses, info.currsize, order))
+    return results, states
+
+
+def assert_bitwise_equal(result, reference):
+    for name in COLUMNS:
+        got, want = getattr(result, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert result.tolerance_m == reference.tolerance_m
+
+
+class TestMemoEquivalence:
+    @pytest.mark.parametrize("name", sorted(MEMO_CASES))
+    def test_columns_equal_an_all_cold_batch(self, name):
+        pool = memo_pool()
+        results, _ = run_memo_case(name)
+        for batch, result in zip(MEMO_CASES[name][1], results):
+            cold = fresh_engine(cache_size=0).solve_batch(
+                [pool[i] for i in batch]
+            )
+            assert_bitwise_equal(result, cold)
+
+    @pytest.mark.parametrize("name", sorted(MEMO_CASES))
+    def test_counters_and_lru_order_pinned(self, name):
+        _, states = run_memo_case(name)
+        assert states == MEMO_EXPECTED[name]
+
+    def test_memo_rows_are_immutable_tuples(self):
+        engine = fresh_engine()
+        engine.solve_batch(memo_pool())
+        rows = list(engine._cache._data.values())
+        assert rows and all(
+            type(row) is tuple and len(row) == len(COLUMNS)
+            and all(type(x) is float for x in row)
+            for row in rows
+        )
+
+
+class TestAliasing:
+    def test_writes_into_result_columns_do_not_reach_the_memo(self):
+        pool = memo_pool()
+        engine = fresh_engine()
+        first = engine.solve_batch(pool)
+        snapshot = fresh_engine(cache_size=0).solve_batch(pool)
+        for name in COLUMNS:
+            getattr(first, name)[:] = -1.0
+        warm = engine.solve_batch(pool)  # every keyed row is a memo hit
+        assert_bitwise_equal(warm, snapshot)
+        for name in COLUMNS:
+            getattr(warm, name)[:] = np.nan
+        assert_bitwise_equal(engine.solve_batch(pool), snapshot)
+        for i, scenario in enumerate(pool):
+            assert engine.solve(scenario) == snapshot[i]
+
+    def test_solve_equals_batch_row_after_batch_fills_memo(self):
+        pool = memo_pool()
+        for kwargs in ({}, {"refine_tolerance_m": 1e-8}, {"grid_step_m": 5.0}):
+            engine = fresh_engine(**kwargs)
+            engine.solve_batch(pool)
+            for scenario in pool:
+                single = engine.solve(scenario)
+                row = engine.solve_batch([scenario])[0]
+                assert single == row  # field for field, tolerance_m too
+                assert single.tolerance_m == max(engine.refine_tolerance_m, 1e-6)
+                assert single == fresh_engine(**kwargs).solve(scenario)
+
+    def test_empty_batch_keeps_default_tolerance(self):
+        assert fresh_engine().solve_batch([]).tolerance_m == 1e-6
+
+
+def bypass(scenario, **fields):
+    """``scenario`` with fields set past ``Scenario``'s own checks, as a
+    duck-typed or deserialised scenario could arrive at the engine."""
+    import copy
+
+    clone = copy.copy(scenario)
+    for name, value in fields.items():
+        object.__setattr__(clone, name, value)
+    return clone
+
+
+class TestValidationOrder:
+    def test_first_offending_row_wins(self):
+        ok = airplane_scenario()
+        bad_d0 = bypass(ok, contact_distance_m=12.5)
+        bad_d0_other = bypass(ok, contact_distance_m=7.0)
+        bad_bits = ok.with_(data_bits=0.0)
+        bad_speed = bypass(ok, cruise_speed_mps=-1.0)
+        cases = [
+            ([ok, bad_bits, ok, bad_bits], "data size must be positive"),
+            ([ok, bad_bits, bad_speed], "data size must be positive"),
+            ([bad_speed, bad_bits], "speed must be positive"),
+            ([ok, bad_d0, bad_d0_other], "contact distance 12.5 below the floor 20.0"),
+            ([bad_d0_other, bad_d0], "contact distance 7.0 below the floor 20.0"),
+            # Checks run in order within a row: speed, data, contact.
+            ([bypass(bad_bits, cruise_speed_mps=0.0)], "speed must be positive"),
+            ([bypass(bad_bits, contact_distance_m=3.0)], "data size must be positive"),
+        ]
+        for chunk_size in (1, 2, 2048):
+            for batch, message in cases:
+                with pytest.raises(ValueError, match=message):
+                    fresh_engine(chunk_size=chunk_size).solve_batch(
+                        batch, parallel=False
+                    )
+        with pytest.raises(ValueError, match="data size must be positive"):
+            fresh_engine().solve(bad_bits)
+
+    def test_failed_batch_memoises_nothing(self):
+        engine = fresh_engine()
+        with pytest.raises(ValueError):
+            engine.solve_batch(
+                [airplane_scenario(), airplane_scenario().with_(data_bits=0.0)]
+            )
+        assert engine.cache_info().currsize == 0
+
+    #: Which columns come out NaN when one field is NaN; no row raises.
+    NAN_COLUMNS = {
+        "contact_distance_m": [
+            "cdelay_s", "contact_distance_m", "discount", "distance_m",
+            "shipping_s", "transmission_s", "utility",
+        ],
+        "cruise_speed_mps": ["cdelay_s", "shipping_s", "speed_mps", "utility"],
+        "data_bits": ["cdelay_s", "data_bits", "transmission_s", "utility"],
+        "failure_rate_per_m": ["discount", "utility"],
+        "min_distance_m": [
+            "cdelay_s", "discount", "distance_m", "shipping_s",
+            "transmission_s", "utility",
+        ],
+    }
+
+    @pytest.mark.parametrize("field", sorted(NAN_COLUMNS))
+    def test_nan_fields_pass_as_before(self, field):
+        scenario = airplane_scenario().with_(**{field: float("nan")})
+        with np.errstate(all="ignore"):
+            batch = fresh_engine().solve_batch([airplane_scenario(), scenario])
+            single = fresh_engine().solve(scenario)
+        row = batch[1]
+        nan_columns = sorted(
+            name for name in COLUMNS if np.isnan(getattr(row, name))
+        )
+        assert nan_columns == self.NAN_COLUMNS[field]
+        for name in COLUMNS:
+            assert np.array_equal(
+                getattr(row, name), getattr(single, name), equal_nan=True
+            )
