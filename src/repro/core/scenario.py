@@ -9,12 +9,18 @@
 
 A scenario bundles everything the optimiser needs and exposes
 convenience constructors for the utility model and optimiser.
+:class:`ScenarioSweep` is the columnar form of a one-parameter sweep of
+a scenario: one base plus a float64 column of values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+import numbers
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
+
+import numpy as np
 
 from ..airframe.platform import AIRPLANE, QUADROCOPTER, PlatformSpec
 from ..measurements.datasets import (
@@ -29,7 +35,13 @@ from .optimizer import DistanceOptimizer, OptimalDecision
 from .throughput import LogFitThroughput, ThroughputModel
 from .utility import DelayedGratificationUtility
 
-__all__ = ["Scenario", "airplane_scenario", "quadrocopter_scenario"]
+__all__ = [
+    "Scenario",
+    "ScenarioSweep",
+    "airplane_scenario",
+    "quadrocopter_scenario",
+    "sweep_rows",
+]
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,18 @@ class Scenario:
         "data_bits": "data_bits_override",
     }
 
+    #: The parameter fields :meth:`cache_key` holds after the throughput
+    #: model's key, in key order; the ``data_bits_override`` slot holds
+    #: the resolved :attr:`data_bits`.  These are the fields a
+    #: :class:`ScenarioSweep` sweeps.
+    KEY_FIELDS = (
+        "min_distance_m",
+        "contact_distance_m",
+        "cruise_speed_mps",
+        "data_bits_override",
+        "failure_rate_per_m",
+    )
+
     def with_(self, **overrides: object) -> "Scenario":
         """A copy with any mix of parameters overridden.
 
@@ -104,7 +128,7 @@ class Scenario:
         fields: dict = {}
         for key, value in overrides.items():
             if key == "mdata_mb":
-                if not isinstance(value, (int, float)) or value <= 0:
+                if not isinstance(value, numbers.Real) or value <= 0:
                     raise ValueError("Mdata must be positive")
                 value = float(value) * 8e6
             field_name = self._ALIASES.get(key, key)
@@ -128,14 +152,7 @@ class Scenario:
         model_key = model_key_fn()
         if model_key is None:
             return None
-        return (
-            model_key,
-            self.min_distance_m,
-            self.contact_distance_m,
-            self.cruise_speed_mps,
-            self.data_bits,
-            self.failure_rate_per_m,
-        )
+        return (model_key,) + _key_values(self)
 
     # ------------------------------------------------------------------
     def delay_model(self) -> CommunicationDelayModel:
@@ -165,6 +182,124 @@ class Scenario:
         from ..engine import default_engine  # local: core must not cycle
 
         return default_engine().solve(self)
+
+
+def _key_attr(name: str) -> str:
+    """The attribute a key field's :meth:`Scenario.cache_key` slot reads."""
+    return "data_bits" if name == "data_bits_override" else name
+
+
+#: Reads the :attr:`Scenario.KEY_FIELDS` values of a scenario, in order.
+_key_values = attrgetter(*map(_key_attr, Scenario.KEY_FIELDS))
+
+
+class ScenarioSweep:
+    """One scenario with one key field swept over a float64 column.
+
+    The columnar form of ``[base.with_(**{field: v}) for v in values]``:
+    the batch engine reads its parameter columns and memo keys straight
+    from ``base`` and ``values``, so no per-value :class:`Scenario` is
+    built.  ``field`` is one of :attr:`Scenario.KEY_FIELDS` or a
+    :meth:`Scenario.with_` alias of one; it is stored canonicalised,
+    with ``mdata_mb`` values converted to bits.  Row ``i`` is exactly
+    ``base.with_(**{self.field: float(self.values[i])})``, built on
+    demand by indexing or iterating.
+
+    ``Scenario.__post_init__``'s checks run as one mask over the column
+    when the container is built; the first offending value raises the
+    error its ``with_`` copy would.
+    """
+
+    __slots__ = ("base", "field", "values")
+
+    def __init__(
+        self,
+        base: Scenario,
+        field: str,
+        values: "Union[Sequence[float], np.ndarray]",
+    ) -> None:
+        name = Scenario._ALIASES.get(field, field)
+        if name not in Scenario.KEY_FIELDS:
+            raise ValueError(
+                f"cannot sweep {field!r} as a column; expected one of "
+                f"{list(Scenario.KEY_FIELDS)} or an alias of one"
+            )
+        column = np.asarray(values, dtype=float)
+        if column.ndim != 1:
+            raise ValueError("sweep values must be one-dimensional")
+        if field == "mdata_mb":
+            bad = column <= 0
+            if bad.any():
+                # The first offending value raises ``with_``'s error.
+                base.with_(mdata_mb=float(column[np.argmax(bad)]))
+            column = column * 8e6
+        self.base = base
+        self.field = name
+        self.values = column
+        speed = self.column("cruise_speed_mps")
+        rho = self.column("failure_rate_per_m")
+        d0 = self.column("contact_distance_m")
+        bad = (speed <= 0) | (rho < 0) | (d0 < self.column("min_distance_m"))
+        if bad.any():
+            # Building the first offending row raises its error.
+            self[int(np.argmax(bad))]
+
+    @property
+    def key_slot(self) -> int:
+        """Index of the swept value in :meth:`Scenario.cache_key`."""
+        return 1 + Scenario.KEY_FIELDS.index(self.field)
+
+    def column(self, name: str) -> np.ndarray:
+        """Per-row values of key field ``name``: the swept column, or
+        the base's value broadcast (``data_bits_override`` reads the
+        resolved :attr:`Scenario.data_bits`)."""
+        if name == self.field:
+            return self.values
+        return np.full(len(self.values), getattr(self.base, _key_attr(name)))
+
+    def take(
+        self, indices: "Union[Sequence[int], np.ndarray]"
+    ) -> "ScenarioSweep":
+        """The sweep of the rows at ``indices``, in that order."""
+        return ScenarioSweep(self.base, self.field, self.values[indices])
+
+    def __len__(self) -> int:
+        return int(self.values.shape[0])
+
+    def __getitem__(
+        self, index: "Union[int, slice]"
+    ) -> "Union[Scenario, ScenarioSweep]":
+        if isinstance(index, slice):
+            return ScenarioSweep(self.base, self.field, self.values[index])
+        return self.base.with_(**{self.field: float(self.values[index])})
+
+    def __iter__(self) -> Iterator[Scenario]:
+        for index in range(len(self)):
+            yield self[index]
+
+
+def sweep_rows(
+    base: Scenario, param: str, values: Iterable[object]
+) -> "Union[ScenarioSweep, List[Scenario]]":
+    """The scenarios of ``base`` with ``param`` swept over ``values``.
+
+    A :class:`ScenarioSweep` when ``param`` is a key field (or its
+    alias) and every value is a real number; otherwise the
+    ``base.with_(**{param: value})`` list.  Both hold the same rows.
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    field = Scenario._ALIASES.get(param, param)
+    if field in Scenario.KEY_FIELDS and _real_column(values):
+        return ScenarioSweep(base, param, values)
+    return [base.with_(**{param: value}) for value in values]
+
+
+def _real_column(values: "Union[List[object], np.ndarray]") -> bool:
+    """Whether ``values`` is a flat run of real numbers."""
+    if isinstance(values, np.ndarray):
+        return values.ndim == 1 and values.dtype.kind in "iuf"
+    return all(issubclass(t, numbers.Real) for t in set(map(type, values)))
 
 
 def _apply_factory_overrides(

@@ -27,17 +27,36 @@ scenarios per NumPy pass, through the one Eq. 2 kernel
    releases the GIL for the heavy array ops).  Every kernel step is
    row-local, so ``chunk_size`` is scheduling only: ``solve_batch(xs)[i]``
    is bit-identical to ``solve(xs[i])`` under any chunking and order.
+6. **Columnar sweeps** — a one-parameter sweep arrives as one
+   :class:`~repro.core.scenario.ScenarioSweep` (a base scenario plus a
+   float64 column), not a list of scenarios.  Its memo keys are the
+   base key with each value put into the swept field's slot, its
+   parameter columns are the base's values broadcast around the swept
+   column, and its chunks are slices of that column; a row is built as
+   a :class:`~repro.core.scenario.Scenario` only to raise a validation
+   error.  Keys, columns and results equal those of the per-value
+   ``with_`` list.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from ..core.optimizer import OptimalDecision, argmax_utility
+from ..core.scenario import ScenarioSweep, sweep_rows
 from ..core.throughput import (
     LogFitThroughput,
     MIN_THROUGHPUT_BPS,
@@ -134,26 +153,47 @@ _N_COLUMNS = len(fields(BatchResult)) - 1
 class _Params:
     """Stacked parameter arrays for one chunk of scenarios."""
 
-    def __init__(self, scenarios: Sequence["Scenario"]) -> None:
+    def __init__(
+        self, scenarios: "Union[Sequence[Scenario], ScenarioSweep]"
+    ) -> None:
         self.scenarios = scenarios
-        self.models = [s.throughput for s in scenarios]
-        self.dmin = np.array([s.min_distance_m for s in scenarios])
-        self.d0 = np.array([s.contact_distance_m for s in scenarios])
-        self.v = np.array([s.cruise_speed_mps for s in scenarios])
-        self.bits = np.array([s.data_bits for s in scenarios])
-        self.rho = np.array([s.failure_rate_per_m for s in scenarios])
+        if isinstance(scenarios, ScenarioSweep):
+            # One model and four broadcast base values around the
+            # swept column.
+            model = scenarios.base.throughput
+            n = len(scenarios)
+            self.models = [model] * n
+            self.dmin = scenarios.column("min_distance_m")
+            self.d0 = scenarios.column("contact_distance_m")
+            self.v = scenarios.column("cruise_speed_mps")
+            self.bits = scenarios.column("data_bits_override")
+            self.rho = scenarios.column("failure_rate_per_m")
+            logfit = np.full(n, type(model) is LogFitThroughput)
+            self.slope = np.full(
+                n, getattr(model, "slope_mbps_per_octave", 0.0)
+            )
+            self.intercept = np.full(
+                n, getattr(model, "intercept_mbps", 0.0)
+            )
+        else:
+            self.models = [s.throughput for s in scenarios]
+            self.dmin = np.array([s.min_distance_m for s in scenarios])
+            self.d0 = np.array([s.contact_distance_m for s in scenarios])
+            self.v = np.array([s.cruise_speed_mps for s in scenarios])
+            self.bits = np.array([s.data_bits for s in scenarios])
+            self.rho = np.array([s.failure_rate_per_m for s in scenarios])
+            logfit = np.array(
+                [type(m) is LogFitThroughput for m in self.models], dtype=bool
+            )
+            self.slope = np.array(
+                [getattr(m, "slope_mbps_per_octave", 0.0) for m in self.models]
+            )
+            self.intercept = np.array(
+                [getattr(m, "intercept_mbps", 0.0) for m in self.models]
+            )
         # Scenarios on the paper's log-fit law vectorise fully; anything
         # else falls back to a row-wise (still array-valued) evaluation.
-        logfit = np.array(
-            [type(m) is LogFitThroughput for m in self.models], dtype=bool
-        )
         self.logfit_mask = logfit
-        self.slope = np.array(
-            [getattr(m, "slope_mbps_per_octave", 0.0) for m in self.models]
-        )
-        self.intercept = np.array(
-            [getattr(m, "intercept_mbps", 0.0) for m in self.models]
-        )
         self.other_rows = np.nonzero(~logfit)[0]
 
     def __len__(self) -> int:
@@ -302,27 +342,32 @@ class BatchSolverEngine:
     ) -> BatchResult:
         """Solve N scenarios in vectorised passes.
 
-        ``parallel=None`` auto-enables the thread-pool fan-out once the
-        batch spans several chunks; ``True``/``False`` force it.
-        ``obs`` records an ``engine.solve_batch`` span plus cache and
-        batch-size metrics; ``None`` leaves the hot path untouched.
+        ``scenarios`` may be a :class:`~repro.core.scenario.ScenarioSweep`,
+        which is solved without building its rows.  ``parallel=None``
+        auto-enables the thread-pool fan-out once the batch spans
+        several chunks; ``True``/``False`` force it.  ``obs`` records an
+        ``engine.solve_batch`` span plus cache and batch-size metrics;
+        ``None`` leaves the hot path untouched.
         """
-        scenario_list = list(scenarios)
+        if not isinstance(scenarios, ScenarioSweep):
+            scenarios = list(scenarios)
         if obs is not None and obs.tracer is not None:
-            with obs.tracer.span(
-                "engine.solve_batch", n=len(scenario_list)
-            ):
-                return self._solve_batch(scenario_list, parallel, obs)
-        return self._solve_batch(scenario_list, parallel, obs)
+            with obs.tracer.span("engine.solve_batch", n=len(scenarios)):
+                return self._solve_batch(scenarios, parallel, obs)
+        return self._solve_batch(scenarios, parallel, obs)
 
     def _solve_batch(
         self,
-        scenario_list: List["Scenario"],
+        scenario_list: "Union[List[Scenario], ScenarioSweep]",
         parallel: Optional[bool],
         obs: Optional["ObsContext"],
     ) -> BatchResult:
         n = len(scenario_list)
-        keys = [self._key(s) for s in scenario_list]
+        sweep = isinstance(scenario_list, ScenarioSweep)
+        if sweep:
+            keys = self._sweep_keys(scenario_list)
+        else:
+            keys = [self._key(s) for s in scenario_list]
         rows = self._cache.get_many(keys)
         miss_idx = [i for i, row in enumerate(rows) if row is None]
         block = np.empty((_N_COLUMNS, n))
@@ -332,7 +377,10 @@ class BatchSolverEngine:
             block[:, hit_idx] = np.array([rows[i] for i in hit_idx]).T
 
         if miss_idx:
-            misses = [scenario_list[i] for i in miss_idx]
+            if sweep:
+                misses = scenario_list.take(miss_idx)
+            else:
+                misses = [scenario_list[i] for i in miss_idx]
             chunks = [
                 misses[start:start + self.chunk_size]
                 for start in range(0, len(misses), self.chunk_size)
@@ -408,10 +456,10 @@ class BatchSolverEngine:
 
         ``param`` is any override :meth:`Scenario.with_` accepts
         (``mdata_mb``, ``speed_mps``, ``rho_per_m``, ``d0_m``, or a raw
-        dataclass field name).
+        dataclass field name).  Sweeps of a key field over real numbers
+        are solved as one :class:`~repro.core.scenario.ScenarioSweep`.
         """
-        variants = [scenario.with_(**{param: value}) for value in values]
-        return self.solve_batch(variants, obs=obs)
+        return self.solve_batch(sweep_rows(scenario, param, values), obs=obs)
 
     def utility_curves(
         self, scenarios: Sequence["Scenario"], n_points: int = 200
@@ -454,6 +502,19 @@ class BatchSolverEngine:
         if base is None:
             return None
         return (base, self.grid_step_m, self.refine_tolerance_m)
+
+    def _sweep_keys(self, sweep: ScenarioSweep) -> List[Optional[tuple]]:
+        """``[self._key(row) for row in sweep]`` without building a row:
+        each value goes into the swept field's slot of the base key."""
+        base = self._key(sweep.base)
+        if base is None:
+            return [None] * len(sweep)
+        point, grid, tolerance = base
+        head, tail = point[:sweep.key_slot], point[sweep.key_slot + 1:]
+        return [
+            ((*head, value, *tail), grid, tolerance)
+            for value in sweep.values.tolist()
+        ]
 
     def _tolerance_m(self) -> float:
         """Resolution stamped on every decision this engine solves."""

@@ -23,8 +23,9 @@ engine settings, the points' full parameter tuples)`` — see
 :mod:`repro.store.fingerprint`.  Sweep groups hash the base scenario's
 tuple plus the swept field and the raw value block (``tobytes()``), so
 key computation for a dense sweep costs microseconds per group instead
-of a JSON encode per point — and a full-warm sweep never constructs
-the variant scenarios at all.
+of a JSON encode per point.  A sweep of a key field stays one
+:class:`~repro.core.scenario.ScenarioSweep` through keys, engine and
+merge, so no sweep constructs its variant scenarios.
 
 Identity contract
 -----------------
@@ -80,16 +81,6 @@ _COLUMNS = (
     "speed_mps",
     "data_bits",
 )
-
-#: Scenario fields whose value shapes the Eq. 2 solution; sweeps over
-#: anything else fall back to the generic per-variant path.
-_SWEEPABLE_FIELDS = {
-    "data_bits_override",
-    "cruise_speed_mps",
-    "failure_rate_per_m",
-    "contact_distance_m",
-    "min_distance_m",
-}
 
 
 @dataclass(frozen=True)
@@ -315,10 +306,10 @@ def _run_groups(
 ) -> Tuple["BatchResult", StoreReport]:
     """The shared fetch → dispatch-missing → merge → persist pipeline.
 
-    ``missing_scenarios_for(missing_group_indices)`` materialises the
-    scenarios of just the missing groups — for sweeps this is the only
-    place variants get constructed, so a fully-warm run never builds
-    them at all.
+    ``missing_scenarios_for(missing_group_indices)`` returns the
+    scenarios of just the missing groups (for a sweep, the
+    :class:`~repro.core.scenario.ScenarioSweep` of their values), so a
+    fully-warm run never builds them at all.
     """
     before = store.snapshot_counters()
     decoded = _fetch_groups(store, keys, refresh, obs)
@@ -451,48 +442,36 @@ def sweep_incremental(
     solver work.  ``param`` accepts the same spellings as
     :meth:`Scenario.with_`; the alias is canonicalised (including the
     ``mdata_mb`` MB→bits conversion) so equivalent sweeps share
-    entries.
+    entries.  Sweeps that :func:`~repro.core.scenario.sweep_rows`
+    cannot hold as a column (``name``, ``throughput``, non-numeric
+    values) take the per-point :func:`solve_batch_incremental` path.
     """
-    from ..core.scenario import Scenario
+    from ..core.scenario import ScenarioSweep, sweep_rows
 
-    value_list = list(values)
-    field = Scenario._ALIASES.get(param, param)
-    try:
-        values_arr = np.asarray(value_list, dtype=float)
-    except (TypeError, ValueError):
-        values_arr = None
-    if (
-        values_arr is None
-        or values_arr.ndim != 1
-        or field not in _SWEEPABLE_FIELDS
-    ):
-        variants = [scenario.with_(**{param: v}) for v in value_list]
+    rows = sweep_rows(scenario, param, values)
+    if not isinstance(rows, ScenarioSweep):
         return solve_batch_incremental(
-            engine, variants, store, obs=obs, refresh=refresh
+            engine, rows, store, obs=obs, refresh=refresh
         )
-    if param == "mdata_mb":
-        if np.any(values_arr <= 0):
-            raise ValueError("Mdata must be positive")
-        values_arr = values_arr * 8e6
-    n = int(values_arr.shape[0])
+    n = len(rows)
     with _maybe_span(obs, "store.key", points=n):
         base_key = engine.point_key(scenario)
         if base_key is None:
-            result = engine.sweep(scenario, param, value_list, obs=obs)
+            result = engine.solve_batch(rows, obs=obs)
             return result, StoreReport(enabled=False, points=n)
         group_size = 1 if n <= _POINT_GROUP_LIMIT else _GROUP_SIZE
         groups = _group_bounds(n, group_size)
         keys = [
-            _sweep_group_key(engine, base_key, field, values_arr[start:stop])
+            _sweep_group_key(
+                engine, base_key, rows.field, rows.values[start:stop]
+            )
             for start, stop in groups
         ]
 
-    def missing_scenarios_for(missing: List[int]) -> List["Scenario"]:
-        return [
-            scenario.with_(**{field: float(value)})
-            for gi in missing
-            for value in values_arr[groups[gi][0]:groups[gi][1]]
-        ]
+    def missing_scenarios_for(missing: List[int]) -> ScenarioSweep:
+        return rows.take(
+            np.concatenate([np.arange(*groups[gi]) for gi in missing])
+        )
 
     return _run_groups(
         engine, store, keys, groups, n,

@@ -14,6 +14,7 @@ from repro.api import (
     solve_batch,
     sweep,
 )
+from repro.core.scenario import ScenarioSweep, sweep_rows
 from repro.core.throughput import TableThroughput
 from repro.obs import ObsContext
 
@@ -558,3 +559,267 @@ class TestValidationOrder:
             assert np.array_equal(
                 getattr(row, name), getattr(single, name), equal_nan=True
             )
+
+
+#: Sweep values per sweepable field and alias; value 3 repeats value 1.
+SWEEP_VALUES = {
+    "min_distance_m": [5.0, 10.0, 20.0, 10.0, 35.0, 12.5],
+    "contact_distance_m": [40.0, 120.0, 300.0, 120.0, 25.0, 77.7],
+    "cruise_speed_mps": [3.0, 10.0, 25.0, 10.0, 4.5, 7.25],
+    "data_bits_override": [1e6, 2e8, 5e7, 2e8, 3e6, 9.5e7],
+    "failure_rate_per_m": [0.0, 1e-4, 1e-2, 1e-4, 3e-3, 6e-5],
+    "mdata_mb": [1.0, 28.0, 56.2, 28.0, 0.5, 12.0],
+}
+SWEEP_VALUES.update(
+    speed_mps=SWEEP_VALUES["cruise_speed_mps"],
+    rho_per_m=SWEEP_VALUES["failure_rate_per_m"],
+    d0_m=SWEEP_VALUES["contact_distance_m"],
+    data_bits=SWEEP_VALUES["data_bits_override"],
+)
+
+SWEEP_ENGINES = {
+    "chunk_1": {"chunk_size": 1},
+    "chunk_2048": {"chunk_size": 2048},
+    "cache_size_0": {"cache_size": 0},
+    "cache_size_3": {"cache_size": 3},
+}
+
+#: ``(hits, misses, currsize, LRU order as value indices)`` after a
+#: sweep of ``SWEEP_VALUES[field]``, cold or after a warm-up sweep of
+#: values 4 and 1; recorded from the engine that swept through one
+#: ``with_`` copy per value.  The same for every field.
+SWEEP_MEMO_EXPECTED = {
+    ("cache_size_0", False): (0, 0, 0, []),
+    ("cache_size_0", True): (0, 0, 0, []),
+    ("cache_size_3", False): (0, 6, 3, [1, 4, 5]),
+    ("cache_size_3", True): (3, 5, 3, [0, 2, 5]),
+    ("chunk_1", False): (0, 6, 5, [0, 2, 1, 4, 5]),
+    ("chunk_1", True): (3, 5, 5, [1, 4, 0, 2, 5]),
+    ("chunk_2048", False): (0, 6, 5, [0, 2, 1, 4, 5]),
+    ("chunk_2048", True): (3, 5, 5, [1, 4, 0, 2, 5]),
+}
+
+
+def sweep_variants(base, field, values):
+    return [base.with_(**{field: v}) for v in values]
+
+
+def run_sweep(path, base, field, values, warm=False, **engine_kwargs):
+    """Sweep through ``path`` ("list", "container" or "engine"); returns
+    the result and ``(hits, misses, currsize, LRU order)``."""
+    engine = fresh_engine(**engine_kwargs)
+    if warm:
+        engine.solve_batch(sweep_variants(base, field, [values[4], values[1]]))
+    if path == "list":
+        result = engine.solve_batch(sweep_variants(base, field, values))
+    elif path == "container":
+        result = engine.solve_batch(ScenarioSweep(base, field, values))
+    else:
+        result = engine.sweep(base, field, values)
+    index = {}
+    for i, variant in enumerate(sweep_variants(base, field, values)):
+        index.setdefault(engine.point_key(variant), i)
+    info = engine.cache_info()
+    order = [index[key] for key in engine._cache._data]
+    return result, (info.hits, info.misses, info.currsize, order)
+
+
+class TestScenarioSweepEquivalence:
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("engine_name", sorted(SWEEP_ENGINES))
+    @pytest.mark.parametrize("field", sorted(SWEEP_VALUES))
+    def test_container_equals_variant_list(self, field, engine_name, warm):
+        base = airplane_scenario()
+        values = SWEEP_VALUES[field]
+        kwargs = SWEEP_ENGINES[engine_name]
+        want, want_memo = run_sweep("list", base, field, values, warm, **kwargs)
+        assert want_memo == SWEEP_MEMO_EXPECTED[engine_name, warm]
+        for path in ("container", "engine"):
+            got, memo = run_sweep(path, base, field, values, warm, **kwargs)
+            assert_bitwise_equal(got, want)
+            assert memo == want_memo, path
+
+    @pytest.mark.parametrize("field", ["speed_mps", "mdata_mb", "min_distance_m"])
+    def test_uncacheable_base_keys_are_none(self, field):
+        table = {20.0: 36e6, 40.0: 35e6, 60.0: 33e6, 100.0: 17.8e6}
+        base = quadrocopter_scenario(d0_m=90.0).with_(throughput=OpaqueTable(table))
+        values = [v for v in SWEEP_VALUES[field] if v < 90.0]
+        sweep_ = ScenarioSweep(base, field, values)
+        engine = fresh_engine()
+        assert engine._sweep_keys(sweep_) == [None] * len(values)
+        want = fresh_engine().solve_batch(sweep_variants(base, field, values))
+        assert_bitwise_equal(engine.solve_batch(sweep_), want)
+        assert_bitwise_equal(engine.sweep(base, field, values), want)
+        assert engine.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("field", sorted(SWEEP_VALUES))
+    def test_keys_equal_point_keys(self, field):
+        base = quadrocopter_scenario(d0_m=300.0)
+        sweep_ = ScenarioSweep(base, field, SWEEP_VALUES[field])
+        engine = fresh_engine(grid_step_m=0.5)
+        keys = engine._sweep_keys(sweep_)
+        assert keys == [engine.point_key(row) for row in sweep_]
+        assert keys == [
+            engine.point_key(variant)
+            for variant in sweep_variants(base, field, SWEEP_VALUES[field])
+        ]
+
+    def test_empty_sweep(self):
+        base = airplane_scenario()
+        engine = fresh_engine()
+        for values in ([], np.array([])):
+            got = engine.solve_batch(ScenarioSweep(base, "rho_per_m", values))
+            assert_bitwise_equal(got, fresh_engine().solve_batch([]))
+            assert_bitwise_equal(engine.sweep(base, "speed_mps", values), got)
+        assert engine.cache_info().currsize == 0
+
+    def test_threaded_chunks_equal_serial(self):
+        base = airplane_scenario()
+        values = np.linspace(1e-5, 1e-2, 1000)
+        want = fresh_engine(cache_size=0).solve_batch(
+            sweep_variants(base, "rho_per_m", values), parallel=False
+        )
+        got = fresh_engine(chunk_size=97).solve_batch(
+            ScenarioSweep(base, "rho_per_m", values), parallel=True
+        )
+        assert_bitwise_equal(got, want)
+
+    def test_rows_are_with_copies(self):
+        base = airplane_scenario()
+        sweep_ = ScenarioSweep(base, "mdata_mb", [2, 3.5])
+        assert sweep_.field == "data_bits_override"
+        assert sweep_.values.dtype == np.float64
+        assert len(sweep_) == 2
+        assert sweep_[1] == base.with_(data_bits_override=3.5 * 8e6)
+        assert sweep_[1] == base.with_(mdata_mb=3.5)
+        assert list(sweep_) == [sweep_[0], sweep_[1]]
+        tail = sweep_[1:]
+        assert isinstance(tail, ScenarioSweep) and tail[0] == sweep_[1]
+        assert sweep_.take([1, 0])[0] == sweep_[1]
+
+    def test_only_key_fields_are_columnar(self):
+        base = airplane_scenario()
+        with pytest.raises(ValueError, match="cannot sweep 'name'"):
+            ScenarioSweep(base, "name", [1.0])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ScenarioSweep(base, "speed_mps", [[1.0, 2.0]])
+
+    def test_sweep_rows_falls_back_to_with_copies(self):
+        base = airplane_scenario()
+        assert isinstance(sweep_rows(base, "d0_m", iter([50.0, 60])), ScenarioSweep)
+        assert isinstance(sweep_rows(base, "speed_mps", np.arange(1, 4)), ScenarioSweep)
+        for param, values in (
+            ("name", ["a", "b"]),
+            ("speed_mps", np.array([True, True])),
+            ("speed_mps", np.array([[5.0]])),
+        ):
+            rows = sweep_rows(base, param, values)
+            assert isinstance(rows, list) and len(rows) == len(values)
+        with pytest.raises(TypeError):
+            sweep_rows(base, "speed_mps", ["5"])  # as the with_ copy does
+
+    def test_engine_sweep_builds_no_rows(self, monkeypatch):
+        from repro.core.scenario import Scenario
+
+        calls = []
+        original = Scenario.with_
+
+        def spy(self, **overrides):
+            calls.append(overrides)
+            return original(self, **overrides)
+
+        base = airplane_scenario()
+        values = np.linspace(1.0, 20.0, 50)
+        want = fresh_engine().solve_batch(sweep_variants(base, "speed_mps", values))
+        monkeypatch.setattr(Scenario, "with_", spy)
+        got = fresh_engine(chunk_size=7).sweep(base, "speed_mps", values)
+        assert calls == []
+        assert_bitwise_equal(got, want)
+
+
+#: ``(param, values, index of the first offending value)``.
+SWEEP_ERRORS = {
+    "speed_not_positive": ("speed_mps", [5.0, 0.0, 7.0, -1.0], 1),
+    "rho_negative": ("rho_per_m", [1e-3, 2e-3, -1e-4, -2.0], 2),
+    "d0_below_min": ("d0_m", [100.0, 19.0, 5.0], 1),
+    "min_above_d0": ("min_distance_m", [10.0, 20.0, 300.5, 400.0], 2),
+    "mdata_not_positive": ("mdata_mb", [1.0, -3.0, 0.0], 1),
+    "data_bits_zero_twice": ("data_bits", [1e6, 0.0, 2e6, 0.0], 1),
+    "data_bits_not_positive": ("data_bits", [1e6, 2e6, -5.0, 0.0], 2),
+}
+
+
+class TestScenarioSweepErrors:
+    @pytest.mark.parametrize("chunk_size", [1, 2, 2048])
+    @pytest.mark.parametrize("case", sorted(SWEEP_ERRORS))
+    def test_same_error_as_variant_list(self, case, chunk_size, monkeypatch):
+        from repro.core.scenario import Scenario
+
+        param, values, first = SWEEP_ERRORS[case]
+        base = airplane_scenario()
+        engine = fresh_engine(chunk_size=chunk_size)
+        with pytest.raises(Exception) as want:
+            engine.solve_batch(sweep_variants(base, param, values))
+        calls = []
+        original = Scenario.with_
+
+        def spy(self, **overrides):
+            calls.extend(overrides.values())
+            return original(self, **overrides)
+
+        monkeypatch.setattr(Scenario, "with_", spy)
+        for solve in (
+            lambda: engine.solve_batch(ScenarioSweep(base, param, values)),
+            lambda: engine.sweep(base, param, values),
+            lambda: engine.solve_batch(
+                ScenarioSweep(base, param, values), parallel=False
+            ),
+        ):
+            calls.clear()
+            with pytest.raises(Exception) as got:
+                solve()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+        # Solved serially, only the first offending value is built as a
+        # Scenario (threaded chunks each validate their own rows).
+        assert calls == [values[first]]
+        assert engine.cache_info().currsize == 0  # a failed sweep memoises nothing
+
+    @pytest.mark.parametrize(
+        "param", ["speed_mps", "rho_per_m", "d0_m", "min_distance_m", "mdata_mb", "data_bits"]
+    )
+    def test_nan_values_pass(self, param):
+        base = airplane_scenario()
+        values = [SWEEP_VALUES[param][1], float("nan"), SWEEP_VALUES[param][2]]
+        with np.errstate(all="ignore"):
+            want = fresh_engine().solve_batch(sweep_variants(base, param, values))
+            got = fresh_engine().sweep(base, param, values)
+        for name in COLUMNS:
+            assert np.array_equal(
+                getattr(got, name), getattr(want, name), equal_nan=True
+            ), name
+
+    def test_failed_later_chunk_memoises_nothing(self):
+        engine = fresh_engine(chunk_size=2)
+        with pytest.raises(ValueError, match="data size must be positive"):
+            engine.sweep(airplane_scenario(), "data_bits", [1e6, 2e6, 3e6, 4e6, 0.0])
+        assert engine.cache_info().currsize == 0
+
+
+class TestScenarioSweepObs:
+    def test_engine_metrics_equal_the_list_path(self):
+        base = airplane_scenario()
+        values = SWEEP_VALUES["rho_per_m"] * 3
+        reports = []
+        for rows in (
+            lambda: sweep_variants(base, "rho_per_m", values),
+            lambda: ScenarioSweep(base, "rho_per_m", values),
+        ):
+            engine = fresh_engine(chunk_size=4)
+            engine.solve_batch(sweep_variants(base, "rho_per_m", values[:2]))
+            obs = ObsContext.enabled(deterministic=True)
+            engine.solve_batch(rows(), obs=obs)
+            reports.append(obs.metrics.to_dict())
+        assert reports[0] == reports[1]
+        assert reports[0]["counters"]["engine.cache.hits"] == 9
+        assert reports[0]["histograms"]["engine.batch.size"]["count"] == 1

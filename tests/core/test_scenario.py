@@ -80,3 +80,31 @@ class TestScenarioValidation:
     def test_scenarios_are_independent(self):
         assert airplane_scenario() is not airplane_scenario()
         assert quadrocopter_scenario().name == "quadrocopter"
+
+
+class TestKeyLayout:
+    def test_cache_key_follows_key_fields(self, air_scenario):
+        from repro.core.scenario import Scenario
+
+        assert Scenario.KEY_FIELDS == (
+            "min_distance_m",
+            "contact_distance_m",
+            "cruise_speed_mps",
+            "data_bits_override",
+            "failure_rate_per_m",
+        )
+        s = air_scenario.with_(d0_m=150.0, rho_per_m=2e-3)
+        assert s.cache_key() == (
+            s.throughput.cache_key(), 20.0, 150.0, 10.0, s.data_bits, 2e-3
+        )
+        assert s.with_(mdata_mb=3.0).cache_key()[4] == 3.0 * 8e6
+
+    def test_mdata_accepts_every_real_number(self, air_scenario):
+        import numpy as np
+
+        want = air_scenario.with_(mdata_mb=2.0)
+        for value in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+            assert air_scenario.with_(mdata_mb=value) == want
+        for bad in (0, np.int64(-1), "2", None):
+            with pytest.raises(ValueError, match="Mdata must be positive"):
+                air_scenario.with_(mdata_mb=bad)

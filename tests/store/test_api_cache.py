@@ -5,10 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.api import FaultPlan, chaos, scenario, solve, sweep
+from repro.api import BatchSolverEngine, FaultPlan, chaos, scenario, solve, sweep
 from repro.measurements.batch import BatchCampaignConfig, run_campaign
 from repro.obs import ObsContext
 from repro.store import ResultStore
+
+
+COLUMNS = (
+    "distance_m", "utility", "cdelay_s", "shipping_s", "transmission_s",
+    "discount", "contact_distance_m", "speed_mps", "data_bits",
+)
 
 
 @pytest.fixture
@@ -35,6 +41,26 @@ class TestApiSweep:
         warm = solve(scn, cache=store)
         assert cold.manifest.to_json() == warm.manifest.to_json()
         assert store.counters["hits"] >= 1
+
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.arange(1, 4), [1, 2, 3], [1.0, 2.0, 3.0]],
+        ids=["np_arange", "int", "float"],
+    )
+    def test_cache_on_and_off_accept_the_same_inputs(self, store, values):
+        """Integer Mdata (NumPy or Python) sweeps with or without the
+        store, and every path gives the float input's rows bit for bit."""
+        scn = scenario("airplane")
+        reference = sweep(scn, "mdata_mb", [1.0, 2.0, 3.0], cache=False)
+        for cache in (False, store, store):
+            result = sweep(
+                scn, "mdata_mb", values, engine=BatchSolverEngine(), cache=cache
+            )
+            for name in COLUMNS:
+                got, want = getattr(result, name), getattr(reference, name)
+                assert got.tobytes() == want.tobytes(), name
+            assert result.tolerance_m == reference.tolerance_m
 
 
 class TestCampaignCache:

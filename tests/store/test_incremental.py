@@ -125,6 +125,32 @@ class TestSweepIdentity:
         assert_batches_equal(result, plain)
 
 
+    def test_sweep_builds_no_rows(self, store, monkeypatch):
+        """Keys, engine dispatch and merge all stay columnar."""
+        from repro.core.scenario import Scenario
+
+        scn = airplane_scenario()
+        values = np.linspace(3.0, 25.0, 200)  # groups of one point
+        want = fresh_engine().solve_batch(
+            [scn.with_(speed_mps=v) for v in values]
+        )
+        calls = []
+        original = Scenario.with_
+
+        def spy(self, **overrides):
+            calls.append(overrides)
+            return original(self, **overrides)
+
+        monkeypatch.setattr(Scenario, "with_", spy)
+        sweep_incremental(fresh_engine(), scn, "speed_mps", values[::2], store)
+        result, report = sweep_incremental(
+            fresh_engine(), scn, "speed_mps", values, store
+        )
+        assert calls == []
+        assert 0 < report.warm_points < report.points
+        assert_batches_equal(result, want)
+
+
 class TestBatchIdentity:
     def test_warm_batch_is_bit_identical(self, store):
         scns = [
