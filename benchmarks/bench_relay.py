@@ -4,10 +4,11 @@ Measures chains/second at fleet sizes N in {100, 10000} and the
 speedup of :class:`repro.relay.BatchRelaySolver` over solving each
 chain with :class:`repro.relay.RelaySolver` in a Python loop, plus a
 bit-lockstep check on the sampled prefix (scalar and batch decisions
-must compare equal, not merely close).
+must compare equal, not merely close) and a byte guard on the N = 10k
+fleet's output (the sha256 of its sorted-key JSON is pinned).
 
-Run standalone (prints the table, asserts the >= 10x target, writes
-``BENCH_relay.json``):
+Run standalone (prints the table, asserts the >= 10x target and the
+byte guard, writes ``BENCH_relay.json``):
 
     PYTHONPATH=src python benchmarks/bench_relay.py
 
@@ -18,6 +19,8 @@ or under pytest-benchmark:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import time
 from typing import List
@@ -35,6 +38,12 @@ SCALAR_SAMPLE_CAP = 300
 
 #: The acceptance target at N = 10k.
 TARGET_SPEEDUP_10K = 10.0
+
+#: ``fleet_digest`` of the N = 10k fleet's batch result.  Any change to
+#: a solved value, a policy or the JSON shape of a decision moves it.
+FLEET_10K_SHA256 = (
+    "dfbb40faebe06c0184c94a350bc9b572b19cdc4087530142d141869873234cb4"
+)
 
 
 def make_fleet(n: int) -> List[RelayChain]:
@@ -66,6 +75,12 @@ def make_fleet(n: int) -> List[RelayChain]:
     return fleet
 
 
+def fleet_digest(result) -> str:
+    """sha256 of ``json.dumps(result.to_dicts(), sort_keys=True)``."""
+    payload = json.dumps(result.to_dicts(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def measure(n: int) -> dict:
     """Time scalar vs batch on a fresh N-chain fleet."""
     fleet = make_fleet(n)
@@ -92,6 +107,7 @@ def measure(n: int) -> dict:
         "speedup": scalar_s / batch_s,
         "lockstep": lockstep,
         "sampled_chains": len(sample),
+        "digest": fleet_digest(batch),
     }
 
 
@@ -110,6 +126,7 @@ def main() -> int:
     final = results[-1]
     ok = final["speedup"] >= TARGET_SPEEDUP_10K
     lockstep = all(r["lockstep"] for r in results)
+    bytes_ok = final["digest"] == FLEET_10K_SHA256
     from conftest import dump_bench_json
 
     path = dump_bench_json(
@@ -123,9 +140,10 @@ def main() -> int:
         f"\nN=10k target >= {TARGET_SPEEDUP_10K:.0f}x: "
         f"{'PASS' if ok else 'FAIL'} ({final['speedup']:.1f}x); "
         f"scalar/batch lockstep: {'yes' if lockstep else 'NO'}; "
+        f"N=10k output bytes: {'pinned' if bytes_ok else 'CHANGED'}; "
         f"report: {path}"
     )
-    return 0 if ok and lockstep else 1
+    return 0 if ok and lockstep and bytes_ok else 1
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +167,7 @@ def test_batch_relay_n10k_beats_scalar_10x(benchmark):
     )
     assert r["speedup"] >= TARGET_SPEEDUP_10K
     assert r["lockstep"]
+    assert r["digest"] == FLEET_10K_SHA256
 
 
 if __name__ == "__main__":

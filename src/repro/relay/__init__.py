@@ -42,7 +42,7 @@ __all__ = [
 
 def __getattr__(name: str):
     # Literal relative imports keep each edge in the RL108 import graph.
-    if name in ("BatchRelayResult", "BatchRelaySolver"):
+    if name == "BatchRelaySolver":
         from . import batch as source
     elif name in (
         "RelayCampaignConfig",
@@ -53,6 +53,7 @@ def __getattr__(name: str):
         from . import campaign as source
     elif name in (
         "HOP_POLICIES",
+        "BatchRelayResult",
         "HopChoice",
         "RelayDecision",
         "RelaySolver",

@@ -12,52 +12,25 @@ Bit-lockstep is structural, not tuned-in:
   :meth:`~repro.engine.batch.BatchSolverEngine.solve_batch` call —
   the engine's Eq. 2 kernel is row-local (own grid, refinement and
   snapping per row), so each hop's answer equals its solo solve;
-* boundary candidates come from the same elementwise
-  :func:`~repro.relay.solver._hop_candidates` evaluation the scalar
-  solver uses, and the DP itself is the shared
-  :func:`~repro.relay.solver._assemble`.
+* candidates and the DP are the same columnar
+  :func:`~repro.relay.solver._solve_columns` the scalar solver runs
+  on one chain; its array DP is row-local per chain.
+
+The result stays columnar: :class:`~repro.relay.solver.BatchRelayResult`
+builds its :class:`~repro.relay.solver.RelayDecision` objects on the
+first read of one, and keeps them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional
 
 from ..engine.batch import BatchSolverEngine, default_engine
 from ..obs import ObsContext
 from .chain import RelayChain
-from .solver import (
-    RelayDecision,
-    _assemble,
-    _hop_candidates,
-    _record_relay_obs,
-)
+from .solver import BatchRelayResult, _record_relay_obs, _solve_columns
 
-__all__ = ["BatchRelayResult", "BatchRelaySolver"]
-
-
-class BatchRelayResult:
-    """Container of N solved chains with array-valued aggregates."""
-
-    def __init__(self, decisions: Tuple[RelayDecision, ...]) -> None:
-        self.decisions = decisions
-        self.utility = np.array([d.utility for d in decisions])
-        self.survival = np.array([d.survival for d in decisions])
-        self.delay_s = np.array([d.delay_s for d in decisions])
-
-    def __len__(self) -> int:
-        return len(self.decisions)
-
-    def __getitem__(self, index: int) -> RelayDecision:
-        return self.decisions[index]
-
-    def __iter__(self) -> Iterator[RelayDecision]:
-        return iter(self.decisions)
-
-    def to_dicts(self) -> List[dict]:
-        """JSON-ready mapping per chain (CLI/manifest output)."""
-        return [decision.to_dict() for decision in self.decisions]
+__all__ = ["BatchRelaySolver"]
 
 
 class BatchRelaySolver:
@@ -89,18 +62,10 @@ class BatchRelaySolver:
         finally:
             if span is not None:
                 span.__exit__(None, None, None)
-        _record_relay_obs(obs, result.decisions)
+        _record_relay_obs(obs, result)
         return result
 
     def _solve(self, chain_list: List[RelayChain]) -> BatchRelayResult:
-        scenarios = [
-            scn for chain in chain_list for scn in chain.scenarios()
-        ]
-        decisions = self.engine.solve_batch(scenarios)
-        rows = _hop_candidates(self.engine, scenarios, decisions)
-        out: List[RelayDecision] = []
-        offset = 0
-        for chain in chain_list:
-            out.append(_assemble(chain, rows[offset:offset + chain.n_hops]))
-            offset += chain.n_hops
-        return BatchRelayResult(tuple(out))
+        scenarios = [hop.scenario for chain in chain_list for hop in chain.hops]
+        result = self.engine.solve_batch(scenarios)
+        return _solve_columns(self.engine, result, scenarios, chain_list)

@@ -23,12 +23,27 @@ which :mod:`repro.relay.solver` maximises hop by hop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..core.scenario import Scenario
 
 __all__ = ["RelayHop", "RelayChain"]
+
+#: Hop scenario parameters that must be finite: a NaN would make the
+#: chain utility NaN, which no frontier order can rank.
+_FINITE_FIELDS = ("contact_distance_m", "min_distance_m", "cruise_speed_mps",
+                  "failure_rate_per_m", "data_bits")
+
+
+def _all_finite(key: tuple) -> bool:
+    """False when a float in the (nested) cache-key tuple is NaN or inf."""
+    return all(
+        _all_finite(item) if isinstance(item, tuple)
+        else not isinstance(item, float) or math.isfinite(item)
+        for item in key
+    )
 
 
 @dataclass(frozen=True)
@@ -44,8 +59,16 @@ class RelayHop:
     handoff_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.handoff_s < 0:
+        # Chained comparisons reject NaN and infinities too.
+        if not 0 <= self.handoff_s < math.inf:
             raise ValueError("handoff_s must be non-negative")
+        for name in _FINITE_FIELDS:
+            if not math.isfinite(getattr(self.scenario, name)):
+                raise ValueError(f"hop {name} must be finite")
+        cache_key = getattr(self.scenario.throughput, "cache_key", None)
+        key = None if cache_key is None else cache_key()
+        if key is not None and not _all_finite(key):
+            raise ValueError("hop throughput model must be finite")
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready echo of this hop's parameters."""
@@ -72,7 +95,7 @@ class RelayChain:
     def __post_init__(self) -> None:
         if not self.hops:
             raise ValueError("a relay chain needs at least one hop")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
             raise ValueError("deadline_s must be positive")
 
     # ------------------------------------------------------------------

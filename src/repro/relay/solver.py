@@ -27,25 +27,27 @@ Bit-identity contracts (pinned by the property suite):
   boundary candidates that coincide with the engine optimum are
   dropped rather than re-derived, and a non-snapped engine optimum
   strictly dominates both boundaries by the engine's own snap margin;
-* the candidate evaluation is shared with
-  :class:`~repro.relay.batch.BatchRelaySolver`, so scalar and batch
-  paths stay in R=1 lockstep by construction.
+* candidates and the array DP are one columnar function,
+  :func:`_solve_columns`, which :class:`RelaySolver` calls on one chain
+  and :class:`~repro.relay.batch.BatchRelaySolver` on a whole fleet, so
+  scalar and batch paths stay in R=1 lockstep by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.optimizer import OptimalDecision
-from ..engine.batch import BatchSolverEngine, default_engine
+from ..engine.batch import BatchResult, BatchSolverEngine, default_engine
 from ..obs import ObsContext, RunManifest
 from .chain import RelayChain
 
 __all__ = [
     "HOP_POLICIES",
+    "BatchRelayResult",
     "HopChoice",
     "RelayDecision",
     "RelaySolver",
@@ -61,6 +63,10 @@ HOP_POLICIES = ("optimal", "now", "closest")
 #: only bounds pathological hand-crafted chains, deterministically
 #: (lowest-delay states are kept).
 _MAX_FRONTIER = 256
+
+#: Chains per DP block, bounding the layer arrays when some chains carry
+#: wide frontiers.  Scheduling only: each chain's DP is row-local.
+_DP_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -169,154 +175,199 @@ class RelayDecision:
 
 
 # ----------------------------------------------------------------------
-# Candidate evaluation (shared by the scalar and batch solvers)
+# The columnar solve (shared by the scalar and batch solvers)
 # ----------------------------------------------------------------------
 
-def _hop_candidates(
+@dataclass(eq=False, repr=False)
+class BatchRelayResult:
+    """N solved chains as columns, one entry per chain and per hop.
+
+    ``utility``, ``survival``, ``delay_s`` and ``meets_deadline`` are
+    per-chain arrays.  Indexing (negative indices and slices too),
+    iteration, :attr:`decisions` and :meth:`to_dicts` behave as on a
+    tuple of :class:`RelayDecision`; the first of them builds every
+    decision, once.
+    """
+
+    _chains: Sequence[RelayChain]
+    #: Chain ``i`` owns hop rows ``_offsets[i]:_offsets[i + 1]``.
+    _offsets: List[int]
+    #: Per hop: the chosen :data:`HOP_POLICIES` index, and its distance,
+    #: U, cdelay, shipping, transmission and discount as a (6, hops) block.
+    _policy: np.ndarray
+    _hop_values: np.ndarray
+    survival: np.ndarray
+    delay_s: np.ndarray
+    meets_deadline: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.utility = self.survival / self.delay_s
+
+    def __len__(self) -> int:
+        return len(self._chains)
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[RelayDecision, Tuple[RelayDecision, ...]]:
+        return self.decisions[index]
+
+    def __iter__(self) -> Iterator[RelayDecision]:
+        return iter(self.decisions)
+
+    @cached_property
+    def decisions(self) -> Tuple[RelayDecision, ...]:
+        """Every chain's decision, in order (built once, on first read)."""
+        return tuple(map(self._decision, range(len(self))))
+
+    def to_dicts(self) -> List[dict]:
+        """JSON-ready mapping per chain (CLI/manifest output)."""
+        return [decision.to_dict() for decision in self]
+
+    def _decision(self, index: int) -> RelayDecision:
+        chain = self._chains[index]
+        lo, hi = self._offsets[index], self._offsets[index + 1]
+        rows = zip(
+            chain.hops,
+            self._policy[lo:hi].tolist(),
+            zip(*self._hop_values[:, lo:hi].tolist()),
+        )
+        return RelayDecision(
+            chain=chain.name,
+            hops=tuple(
+                HopChoice(i, HOP_POLICIES[policy], *values, hop.handoff_s)
+                for i, (hop, policy, values) in enumerate(rows)
+            ),
+            utility=float(self.utility[index]),
+            survival=float(self.survival[index]),
+            delay_s=float(self.delay_s[index]),
+            handoff_s=chain.total_handoff_s,
+            deadline_s=chain.deadline_s,
+            meets_deadline=bool(self.meets_deadline[index]),
+        )
+
+
+def _solve_columns(
     engine: BatchSolverEngine,
+    result: BatchResult,
     scenarios: Sequence,
-    decisions: Sequence[OptimalDecision],
-) -> List[List[Tuple[str, float, float, float, float, float, float]]]:
-    """Per-hop candidate tuples: (policy, d, U, cdelay, ship, tx, disc).
+    chains: Sequence[RelayChain],
+) -> BatchRelayResult:
+    """Pick one candidate per hop for every chain (``result`` solves
+    ``scenarios``, the hops of ``chains`` in order).
 
-    The ``optimal`` candidate copies the engine decision's fields
-    verbatim; the boundary candidates are evaluated through the same
-    elementwise :meth:`~repro.engine.batch.BatchSolverEngine.breakdown_at`
-    arrays whether one hop or a whole fleet is being solved — this
-    function is the single candidate source for both solvers, which is
-    what makes scalar↔batch lockstep structural rather than tested-in.
-
-    A boundary whose distance equals the engine optimum (a snapped
-    decision) is dropped: re-deriving it through a different float path
-    could differ in the last ulp and steal the tie.
+    The table holds distance, U, cdelay, shipping, transmission and
+    discount per :data:`HOP_POLICIES` slot and hop: ``optimal`` is the
+    engine columns verbatim; ``now`` (``d0``) and ``closest`` (``dmin``)
+    come from one elementwise ``breakdown_at`` call, so stacking rows
+    changes no bit.  A boundary at the engine optimum (a snapped
+    decision) is dropped: re-deriving it could differ in the last ulp
+    and steal the tie, so its cdelay and discount become slot 0's, a
+    twin the DP never picks.
     """
-    d0 = np.array([s.contact_distance_m for s in scenarios], dtype=float)
-    dmin = np.array([s.min_distance_m for s in scenarios], dtype=float)
-    at_now = engine.breakdown_at(scenarios, d0)
-    at_closest = engine.breakdown_at(scenarios, dmin)
-    rows: List[List[Tuple[str, float, float, float, float, float, float]]] = []
-    for i, decision in enumerate(decisions):
-        row = [
-            (
-                "optimal",
-                decision.distance_m,
-                decision.utility,
-                decision.cdelay_s,
-                decision.shipping_s,
-                decision.transmission_s,
-                decision.discount,
+    n = len(scenarios)
+    dmin = [s.min_distance_m for s in scenarios]
+    bounds = np.concatenate((result.contact_distance_m, dmin))
+    at_bounds = engine.breakdown_at(list(scenarios) * 2, bounds)
+    table = np.concatenate(
+        ((result.distance_m, result.utility, result.cdelay_s,
+          result.shipping_s, result.transmission_s, result.discount),
+         (bounds, *at_bounds)),
+        axis=1,
+    ).reshape(6, 3, n)
+    np.copyto(table[2::3, 1:], table[2::3, :1], where=table[0, 1:] == table[0, :1])
+    offsets = [0]
+    groups: Dict[int, List[int]] = {}
+    for index, chain in enumerate(chains):
+        n_hops = len(chain.hops)
+        offsets.append(offsets[-1] + n_hops)
+        groups.setdefault(n_hops, []).append(index)
+    handoff = np.array(
+        [hop.handoff_s for chain in chains for hop in chain.hops], dtype=float
+    )
+    deadline = np.array(
+        [np.inf if c.deadline_s is None else c.deadline_s for c in chains]
+    )
+    first_hop = np.array(offsets[:-1], dtype=np.intp)
+    policy = np.zeros(n, dtype=np.intp)
+    survival, delay = np.empty((2, len(chains)))
+    feasible = np.empty(len(chains), dtype=bool)
+    for n_hops, members in groups.items():
+        for start in range(0, len(members), _DP_BLOCK):
+            ids = np.array(members[start:start + _DP_BLOCK], dtype=np.intp)
+            hops = first_hop[ids, None] + np.arange(n_hops)
+            policy[hops], survival[ids], delay[ids], feasible[ids] = _frontier_dp(
+                table[5, :, hops], table[2, :, hops], handoff[hops], deadline[ids],
             )
-        ]
-        if float(d0[i]) != decision.distance_m:
-            row.append(
-                ("now", float(d0[i]))
-                + tuple(float(column[i]) for column in at_now)
-            )
-        if float(dmin[i]) != decision.distance_m:
-            row.append(
-                ("closest", float(dmin[i]))
-                + tuple(float(column[i]) for column in at_closest)
-            )
-        rows.append(row)
-    return rows
+    return BatchRelayResult(
+        chains, offsets, policy, table[:, policy, np.arange(n)],
+        survival, delay, feasible,
+    )
 
 
-# ----------------------------------------------------------------------
-# The dynamic program
-# ----------------------------------------------------------------------
+def _frontier_dp(
+    discount: np.ndarray,
+    cdelay: np.ndarray,
+    handoff: np.ndarray,
+    deadline: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Pareto-frontier DP over G chains of one hop count: takes
+    ``(G, hops, 3)`` tables, ``(G, hops)`` hand-offs and ``(G,)``
+    deadlines (``inf`` for none); returns the slot per hop and each
+    chain's survival, delay and deadline flag.
 
-def _prune(
-    states: List[Tuple[float, float, Tuple[int, ...]]],
-) -> List[Tuple[float, float, Tuple[int, ...]]]:
-    """Keep the Pareto frontier of (survival desc, delay asc) states.
-
-    Sorting by (delay, -survival, path) makes the sweep deterministic:
-    among states equal on both axes the lexicographically smallest
-    candidate path survives, which orders ``optimal`` first.
+    States fold as ``survival * discount`` (negated, exactly, so it
+    sorts ascending) and ``(delay + cdelay) + handoff``.  A layer keeps,
+    in (delay, -survival, path) order, the states of strictly rising
+    survival, at most :data:`_MAX_FRONTIER`.  Frontiers are stored in
+    path order (state ``p`` grown by slot ``k`` sits at ``3p + k``), so
+    stable sorts break exact ties by path.  A dropped slot arrives as a
+    twin of slot 0 and a short frontier is padded with twins of its last
+    state: a twin equals its original in every value at a later
+    position, so it is never kept or picked in its place and never moves
+    the running survival.  The pick
+    maximises ``survival / delay``, then minimises delay, over
+    deadline-feasible states; with none, it minimises delay (kept
+    states have distinct delays, so survival never breaks that tie).
     """
-    states.sort(key=lambda s: (s[1], -s[0], s[2]))
-    kept: List[Tuple[float, float, Tuple[int, ...]]] = []
-    best_survival = -1.0
-    for survival, delay, path in states:
-        if survival > best_survival:
-            kept.append((survival, delay, path))
-            best_survival = survival
-            if len(kept) >= _MAX_FRONTIER:
-                break
-    return kept
-
-
-def _dp_select(
-    rows: Sequence[Sequence[tuple]],
-    handoffs: Sequence[float],
-    deadline_s: Optional[float],
-) -> Tuple[Tuple[int, ...], float, float, bool]:
-    """Pick one candidate per hop maximising the chain utility.
-
-    Returns ``(candidate indices, survival, delay_s, feasible)``.
-    States fold multiplicatively in survival and additively in delay
-    (candidate index 3 is cdelay, index 6 the discount), the frontier
-    is pruned exactly per layer, and the final pick maximises
-    ``survival / delay`` among deadline-feasible states — falling back
-    to the minimum-delay chain when nothing is feasible.
-    """
-    frontier: List[Tuple[float, float, Tuple[int, ...]]] = [(1.0, 0.0, ())]
-    for row, handoff in zip(rows, handoffs):
-        grown = [
-            (
-                survival * candidate[6],
-                delay + candidate[3] + handoff,
-                path + (index,),
-            )
-            for survival, delay, path in frontier
-            for index, candidate in enumerate(row)
-        ]
-        frontier = _prune(grown)
-    if deadline_s is not None:
-        feasible = [state for state in frontier if state[1] <= deadline_s]
-    else:
-        feasible = frontier
-    if feasible:
-        survival, delay, path = min(
-            feasible, key=lambda s: (-(s[0] / s[1]), s[1], s[2])
-        )
-        return path, survival, delay, True
-    survival, delay, path = min(
-        frontier, key=lambda s: (s[1], -s[0], s[2])
+    g, hops, _ = discount.shape
+    rows = np.arange(g)[:, None]
+    neg_survival = np.full((g, 1), -1.0)
+    delay = np.zeros((g, 1))
+    grown_at = []
+    for j in range(hops):
+        grown_s = (neg_survival[:, :, None] * discount[:, None, j]).reshape(g, -1)
+        grown_d = (
+            (delay[:, :, None] + cdelay[:, None, j]) + handoff[:, j, None, None]
+        ).reshape(g, -1)
+        order = np.lexsort((grown_s, grown_d))
+        ranked = grown_s[rows, order]
+        # Keep a state that beats the survival of every state before it.
+        best_before = np.empty(ranked.shape)
+        best_before[:, 0] = np.inf
+        np.minimum.accumulate(ranked[:, :-1], axis=1, out=best_before[:, 1:])
+        keep = ranked < best_before
+        width = keep.sum(axis=1).max()
+        if width > _MAX_FRONTIER:
+            keep &= np.cumsum(keep, axis=1) <= _MAX_FRONTIER
+            width = _MAX_FRONTIER
+        # Kept positions in path order, padded with the last one.
+        last = np.where(keep, order, -1).max(axis=1, keepdims=True)
+        at = np.sort(np.where(keep, order, last))[:, :width]
+        grown_at.append(at)
+        neg_survival, delay = grown_s[rows, at], grown_d[rows, at]
+    fits = delay <= deadline[:, None]
+    feasible = fits.any(axis=1)
+    pick = np.where(
+        feasible,
+        np.lexsort((delay, neg_survival / delay, ~fits))[:, 0],
+        delay.argmin(axis=1),
     )
-    return path, survival, delay, False
-
-
-def _assemble(chain: RelayChain, rows: Sequence[Sequence[tuple]]) -> RelayDecision:
-    """Run the DP and package the winning path as a decision."""
-    handoffs = [hop.handoff_s for hop in chain.hops]
-    path, survival, delay, feasible = _dp_select(
-        rows, handoffs, chain.deadline_s
-    )
-    choices = tuple(
-        HopChoice(
-            hop=i,
-            policy=rows[i][index][0],
-            distance_m=rows[i][index][1],
-            utility=rows[i][index][2],
-            cdelay_s=rows[i][index][3],
-            shipping_s=rows[i][index][4],
-            transmission_s=rows[i][index][5],
-            discount=rows[i][index][6],
-            handoff_s=handoffs[i],
-        )
-        for i, index in enumerate(path)
-    )
-    return RelayDecision(
-        chain=chain.name,
-        hops=choices,
-        utility=survival / delay,
-        survival=survival,
-        delay_s=delay,
-        handoff_s=sum(handoffs),
-        deadline_s=chain.deadline_s,
-        meets_deadline=feasible,
-    )
+    rows = rows[:, 0]
+    survival, delay = -neg_survival[rows, pick], delay[rows, pick]
+    slots = np.empty((g, hops), dtype=np.intp)
+    for j in reversed(range(hops)):
+        pick, slots[:, j] = np.divmod(grown_at[j][rows, pick], 3)
+    return slots, survival, delay, feasible
 
 
 # ----------------------------------------------------------------------
@@ -341,46 +392,44 @@ class RelaySolver:
         the solve path untouched.
         """
         if obs is None:
-            return self._solve(chain)
+            return self._solve(chain)[0]
         span = None
         if obs.tracer is not None:
             span = obs.tracer.span("relay.solve", hops=chain.n_hops)
             span.__enter__()
         try:
-            decision = self._solve(chain)
+            result = self._solve(chain)
         finally:
             if span is not None:
                 span.__exit__(None, None, None)
-        _record_relay_obs(obs, [decision])
-        return decision
+        _record_relay_obs(obs, result)
+        return result[0]
 
-    def _solve(self, chain: RelayChain) -> RelayDecision:
+    def _solve(self, chain: RelayChain) -> BatchRelayResult:
         scenarios = chain.scenarios()
-        decisions = [self.engine.solve(scn) for scn in scenarios]
-        rows = _hop_candidates(self.engine, scenarios, decisions)
-        return _assemble(chain, rows)
+        result = BatchResult.from_decisions(
+            [self.engine.solve(scn) for scn in scenarios]
+        )
+        return _solve_columns(self.engine, result, scenarios, [chain])
 
 
-def _record_relay_obs(obs: ObsContext, decisions: Sequence[RelayDecision]) -> None:
+def _record_relay_obs(obs: ObsContext, result: BatchRelayResult) -> None:
     """``relay.*`` counters and one event per solved chain.
 
     Shared by the scalar and batch solvers so both emit the same metric
     names (the campaign-style parity contract).
     """
     if obs.metrics is not None:
-        obs.metrics.counter("relay.chains").inc(len(decisions))
-        obs.metrics.counter("relay.hops").inc(
-            sum(decision.n_hops for decision in decisions)
-        )
+        obs.metrics.counter("relay.chains").inc(len(result))
+        obs.metrics.counter("relay.hops").inc(result._offsets[-1])
     if obs.events is not None:
-        for decision in decisions:
+        for chain, utility, delay_s, meets_deadline in zip(
+            result._chains, result.utility.tolist(),
+            result.delay_s.tolist(), result.meets_deadline.tolist(),
+        ):
             obs.events.emit(
-                "decision.relay",
-                0.0,
-                chain=decision.chain,
-                utility=decision.utility,
-                delay_s=decision.delay_s,
-                meets_deadline=decision.meets_deadline,
+                "decision.relay", 0.0, chain=chain.name, utility=utility,
+                delay_s=delay_s, meets_deadline=meets_deadline,
             )
 
 

@@ -73,3 +73,86 @@ class TestBatchResultSurface:
         assert counters["relay.chains"] == len(chains)
         assert counters["relay.hops"] == sum(c.n_hops for c in chains)
         assert obs.events.kinds()["decision.relay"] == len(chains)
+
+
+class TestLazyDecisions:
+    """The columnar result reads like the tuple of decisions it replaced."""
+
+    @pytest.fixture
+    def solved(self):
+        chains = _chain_fleet()
+        scalar_engine = BatchSolverEngine()
+        scalar = [RelaySolver(scalar_engine).solve(c) for c in chains]
+        return BatchRelaySolver(BatchSolverEngine()).solve(chains), scalar
+
+    def test_indexing_matches_a_tuple(self, solved):
+        result, scalar = solved
+        assert result[-1] == scalar[-1]
+        assert result[-len(scalar)] == scalar[0]
+        assert result[np.int64(2)] == scalar[2]
+        assert result[1:4] == tuple(scalar[1:4])
+        assert result[::-2] == tuple(scalar[::-2])
+        assert result[7:] == ()
+        with pytest.raises(IndexError):
+            result[len(scalar)]
+        with pytest.raises(IndexError):
+            result[-len(scalar) - 1]
+
+    def test_iteration_decisions_and_dicts(self, solved):
+        result, scalar = solved
+        assert list(result) == scalar
+        assert result.decisions == tuple(scalar)
+        assert result.to_dicts() == [d.to_dict() for d in scalar]
+        np.testing.assert_array_equal(
+            result.meets_deadline, [d.meets_deadline for d in scalar]
+        )
+
+    def test_solve_builds_no_decision_until_one_is_read(self, monkeypatch):
+        from repro.relay import solver
+
+        built = []
+
+        class CountingHopChoice(solver.HopChoice):
+            def __init__(self, hop, *args):
+                built.append(hop)
+                super().__init__(hop, *args)
+
+        monkeypatch.setattr(solver, "HopChoice", CountingHopChoice)
+        chains = _chain_fleet()
+        result = BatchRelaySolver(BatchSolverEngine()).solve(chains)
+        assert result.utility.shape == (len(chains),)
+        assert built == []
+        decision = result[3]
+        # The first read builds every decision once; later reads reuse them.
+        assert len(built) == sum(c.n_hops for c in chains)
+        assert decision.hops[0].policy in ("optimal", "now", "closest")
+        built.clear()
+        assert list(result) == list(result.decisions)
+        assert result[3] is decision
+        result.to_dicts()
+        assert built == []
+
+    def test_obs_output_is_unchanged(self):
+        # Counters and the decision.relay event log of the per-chain
+        # solver, captured before the columnar rewrite.
+        import hashlib
+        import json
+
+        from repro.obs import ObsContext
+
+        for solve in ("batch", "scalar"):
+            obs = ObsContext.enabled(deterministic=True)
+            if solve == "batch":
+                BatchRelaySolver(BatchSolverEngine()).solve(
+                    _chain_fleet(), obs=obs
+                )
+            else:
+                solver = RelaySolver(BatchSolverEngine())
+                for chain in _chain_fleet():
+                    solver.solve(chain, obs=obs)
+            counters = obs.metrics.to_dict()["counters"]
+            assert counters == {"relay.chains": 5, "relay.hops": 11}
+            events = json.dumps(obs.events.to_dicts(), sort_keys=True)
+            assert hashlib.sha256(events.encode()).hexdigest() == (
+                "ab9efe9d30e7a09d59007e261e9e6ff241edff8ac5200770e074663555934acd"
+            )

@@ -5,6 +5,11 @@ import dataclasses
 import pytest
 
 from repro.core import airplane_scenario, quadrocopter_scenario
+from repro.core.throughput import (
+    LogFitThroughput,
+    SpeedScaledThroughput,
+    TableThroughput,
+)
 from repro.relay import RelayChain, RelayHop
 
 
@@ -108,3 +113,73 @@ class TestRelayChainSurface:
         assert payload["n_hops"] == 2
         assert payload["deadline_s"] == 120.0
         assert len(payload["hops"]) == 2
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInputsRejected:
+    """A NaN or infinite input would make the chain utility NaN (or the
+    ranking meaningless); the chain model refuses it up front."""
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_handoff(self, quad_scenario, value):
+        with pytest.raises(ValueError, match="handoff_s must be non-negative"):
+            RelayHop(scenario=quad_scenario, handoff_s=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_handoff_through_of(self, value):
+        with pytest.raises(ValueError, match="handoff_s"):
+            RelayChain.of([quadrocopter_scenario()] * 2, handoff_s=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_deadline(self, value):
+        with pytest.raises(ValueError, match="deadline_s must be positive"):
+            RelayChain.of([quadrocopter_scenario()], deadline_s=value)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("contact_distance_m", NAN),
+            ("contact_distance_m", INF),
+            ("min_distance_m", NAN),
+            ("min_distance_m", -INF),
+            ("cruise_speed_mps", NAN),
+            ("cruise_speed_mps", INF),
+            ("failure_rate_per_m", NAN),
+            ("failure_rate_per_m", INF),
+            ("data_bits_override", NAN),
+            ("data_bits_override", INF),
+        ],
+    )
+    def test_hop_scenario_fields(self, quad_scenario, field, value):
+        # The scenario itself accepts these values; the hop does not.
+        scenario = dataclasses.replace(quad_scenario, **{field: value})
+        name = "data_bits" if field == "data_bits_override" else field
+        with pytest.raises(ValueError, match=f"hop {name} must be finite"):
+            RelayHop(scenario=scenario)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_mdata_through_of(self, value):
+        with pytest.raises(ValueError, match="hop data_bits must be finite"):
+            RelayChain.of([quadrocopter_scenario()], mdata_mb=value)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            LogFitThroughput(NAN, 73.0),
+            LogFitThroughput(-10.5, INF),
+            LogFitThroughput(-10.5, 73.0, speed_scale_mps=NAN),
+            TableThroughput({20.0: 5e7, 100.0: NAN}),
+            SpeedScaledThroughput(LogFitThroughput(-10.5, NAN)),
+        ],
+    )
+    def test_hop_throughput_model(self, quad_scenario, model):
+        scenario = dataclasses.replace(quad_scenario, throughput=model)
+        with pytest.raises(ValueError, match="hop throughput model must be finite"):
+            RelayHop(scenario=scenario)
+
+    def test_finite_inputs_still_accepted(self, quad_scenario):
+        hop = RelayHop(scenario=quad_scenario, handoff_s=0.0)
+        chain = RelayChain(name="ok", hops=(hop,), deadline_s=1e-9)
+        assert chain.deadline_s == 1e-9

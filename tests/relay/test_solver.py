@@ -7,7 +7,8 @@ import pytest
 from repro.core import airplane_scenario, quadrocopter_scenario
 from repro.engine.batch import BatchSolverEngine
 from repro.relay import HOP_POLICIES, RelayChain, RelayDecision, RelaySolver
-from repro.relay.solver import _dp_select, _hop_candidates
+
+from .reference_dp import _hop_candidates
 
 
 @pytest.fixture
@@ -80,17 +81,15 @@ class TestDynamicProgram:
         decisions = [engine.solve(s) for s in scenarios]
         rows = _hop_candidates(engine, scenarios, decisions)
         handoffs = [hop.handoff_s for hop in chain.hops]
-        path, survival, delay, feasible = _dp_select(
-            rows, handoffs, deadline_s
-        )
+        relay = RelaySolver(engine).solve(chain)
         best, fallback = _brute_force(rows, handoffs, deadline_s)
         if best is not None:
-            assert feasible
-            assert survival / delay == best[2]
-            assert delay == best[1]
+            assert relay.meets_deadline
+            assert relay.utility == best[2]
+            assert relay.delay_s == best[1]
         else:
-            assert not feasible
-            assert delay == fallback[1]
+            assert not relay.meets_deadline
+            assert relay.delay_s == fallback[1]
 
     def test_every_policy_is_a_known_name(self, engine):
         chain = RelayChain.of(

@@ -87,15 +87,15 @@ SURFACE = {
         ),
     },
     "repro.relay": {
-        "repro.relay.batch": ("BatchRelayResult", "BatchRelaySolver"),
+        "repro.relay.batch": ("BatchRelaySolver",),
         "repro.relay.chain": ("RelayChain", "RelayHop"),
         "repro.relay.campaign": (
             "RelayCampaignConfig", "RelayCampaignResult",
             "relay_campaign_manifest", "run_relay_campaign",
         ),
         "repro.relay.solver": (
-            "HOP_POLICIES", "HopChoice", "RelayDecision", "RelaySolver",
-            "relay_manifest",
+            "HOP_POLICIES", "BatchRelayResult", "HopChoice", "RelayDecision",
+            "RelaySolver", "relay_manifest",
         ),
         "repro.relay.transfer": (
             "RelayHopReport", "RelayTransferResult", "run_relay_transfer",
