@@ -79,9 +79,14 @@ class ChannelProfile:
 
     def mean_snr_db(self, distance_m: float, relative_speed_mps: float = 0.0) -> float:
         """Mean SNR at this distance/speed, before fading."""
+        return self._distance_snr_db(distance_m) - self.speed_penalty.penalty_db(
+            relative_speed_mps
+        )
+
+    def _distance_snr_db(self, distance_m: float) -> float:
+        """Mean SNR at this distance before the speed penalty."""
         distance = max(distance_m, self.min_distance_m)
-        snr = self.budget.snr_db(self.pathloss.loss_db(distance))
-        return snr - self.speed_penalty.penalty_db(relative_speed_mps)
+        return self.budget.snr_db(self.pathloss.loss_db(distance))
 
 
 class AerialChannel:
@@ -98,7 +103,7 @@ class AerialChannel:
         streams: Optional[RandomStreams] = None,
         stream_name: str = "channel",
     ) -> None:
-        self.profile = profile
+        self._profile = profile
         streams = streams if streams is not None else RandomStreams(seed=0)
         self._shadowing = GaussMarkovShadowing(
             profile.shadowing, streams.get(f"{stream_name}.shadowing")
@@ -111,10 +116,47 @@ class AerialChannel:
         )
         self._last_time: Optional[float] = None
         self._fading_clock = 0.0
+        # Memo of the last (distance, speed), the scalar twin of
+        # BatchAerialChannel's: the mean SNR, and the speed-derived
+        # penalty and fading-clock warp, which an approach at constant
+        # speed keeps while the distance changes every epoch.
+        self._memo_distance: Optional[float] = None
+        self._memo_speed: Optional[float] = None
+        self._mean = 0.0
+        self._penalty = 0.0
+        self._warp = 1.0
+
+    @property
+    def profile(self) -> ChannelProfile:
+        """The static link class (fixed: the mean-SNR memo depends on it)."""
+        return self._profile
 
     def mean_snr_db(self, distance_m: float, relative_speed_mps: float = 0.0) -> float:
-        """Mean (large-scale) SNR; delegates to the profile."""
-        return self.profile.mean_snr_db(distance_m, relative_speed_mps)
+        """Mean (large-scale) SNR; delegates to the profile.
+
+        Memoised on the last (distance, speed): a hovering link asks for
+        the same mean every epoch, and the oracle's hint asks twice.
+        """
+        if (
+            distance_m != self._memo_distance
+            or relative_speed_mps != self._memo_speed
+        ):
+            # ChannelProfile.mean_snr_db, with the speed terms reused
+            # while the speed is unchanged.
+            profile = self._profile
+            snr = profile._distance_snr_db(distance_m)
+            if relative_speed_mps != self._memo_speed:
+                self._penalty = profile.speed_penalty.penalty_db(
+                    relative_speed_mps
+                )
+                scale = profile.fading_clock_speed_scale_mps
+                self._warp = 1.0 + (
+                    relative_speed_mps / scale if scale != float("inf") else 0.0
+                )
+                self._memo_speed = relative_speed_mps
+            self._mean = snr - self._penalty
+            self._memo_distance = distance_m
+        return self._mean
 
     def sample_snr_db(
         self,
@@ -135,10 +177,8 @@ class AerialChannel:
         if self._last_time is None:
             self._fading_clock = now_s
         else:
-            dt = max(0.0, now_s - self._last_time)
-            scale = self.profile.fading_clock_speed_scale_mps
-            warp = 1.0 + (relative_speed_mps / scale if scale != float("inf") else 0.0)
-            self._fading_clock += dt * warp
+            # The warp was refreshed with the mean for this speed.
+            self._fading_clock += max(0.0, now_s - self._last_time) * self._warp
         self._last_time = now_s
         shadow = self._shadowing.sample(self._fading_clock)
         fast = self._rician.sample_db(relative_speed_mps)
@@ -173,7 +213,7 @@ class BatchAerialChannel:
     ) -> None:
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
-        self.profile = profile
+        self._profile = profile
         self.n_replicas = n_replicas
         streams = streams if streams is not None else RandomStreams(seed=0)
         self._shadowing = BatchGaussMarkovShadowing(
@@ -198,6 +238,11 @@ class BatchAerialChannel:
         self._warp: "float | np.ndarray" = 1.0
         self.mean_cache_hits = 0
         self.mean_cache_misses = 0
+
+    @property
+    def profile(self) -> ChannelProfile:
+        """The static link class (fixed: the mean-SNR memo depends on it)."""
+        return self._profile
 
     def _as_replica_array(self, values, name: str) -> np.ndarray:
         """A private ``(R,)`` float copy of a scalar or per-replica input."""

@@ -107,27 +107,41 @@ class GaussMarkovShadowing:
     """
 
     def __init__(self, config: ShadowingConfig, rng: np.random.Generator) -> None:
-        self.config = config
+        self._config = config
         self._rng = rng
         self._value = float(rng.normal(0.0, config.sigma_db)) if config.sigma_db else 0.0
         self._in_dropout = bool(rng.random() < config.dropout_probability)
         self._last_time: float | None = None
         self._epoch_elapsed = 0.0
+        # (alpha, drive) of the last step length: a link samples at a
+        # fixed epoch, so the step length mostly repeats.
+        self._step_key: float | None = None
+        self._alpha = self._drive = 0.0
+
+    @property
+    def config(self) -> ShadowingConfig:
+        """The process parameters (fixed: the step memo depends on them)."""
+        return self._config
 
     def sample(self, now_s: float) -> float:
         """Shadowing value (dB) at time ``now_s`` (non-decreasing calls)."""
-        cfg = self.config
+        cfg = self._config
         if self._last_time is not None:
             dt = max(0.0, now_s - self._last_time)
             if cfg.sigma_db > 0:
-                # np.exp (not math.exp) so the batched twin matches bit
-                # for bit — NumPy's scalar and array ufunc paths agree,
-                # libm's does not always.
-                alpha = float(np.exp(-dt / cfg.coherence_time_s))
-                drive = cfg.sigma_db * math.sqrt(max(0.0, 1.0 - alpha * alpha))
-                self._value = alpha * self._value + float(
+                if dt != self._step_key:
+                    # np.exp (not math.exp) so the batched twin matches
+                    # bit for bit — NumPy's scalar and array ufunc paths
+                    # agree, libm's does not always.
+                    alpha = float(np.exp(-dt / cfg.coherence_time_s))
+                    self._alpha = alpha
+                    self._drive = cfg.sigma_db * math.sqrt(
+                        max(0.0, 1.0 - alpha * alpha)
+                    )
+                    self._step_key = dt
+                self._value = self._alpha * self._value + float(
                     self._rng.normal(0.0, 1.0)
-                ) * drive
+                ) * self._drive
             self._epoch_elapsed += dt
             if self._epoch_elapsed >= cfg.coherence_time_s:
                 self._epoch_elapsed = 0.0
@@ -160,7 +174,7 @@ class BatchGaussMarkovShadowing:
     ) -> None:
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
-        self.config = config
+        self._config = config
         self.n_replicas = n_replicas
         self._rng = rng
         if config.sigma_db:
@@ -170,6 +184,11 @@ class BatchGaussMarkovShadowing:
         self._in_dropout = rng.random(size=n_replicas) < config.dropout_probability
         self._last_time: "np.ndarray | None" = None
         self._epoch_elapsed = np.zeros(n_replicas)
+
+    @property
+    def config(self) -> ShadowingConfig:
+        """The process parameters, shared by every replica."""
+        return self._config
 
     def sample(self, now_s: np.ndarray) -> np.ndarray:
         """Per-replica shadowing (dB) at the per-replica clocks ``now_s``."""
@@ -189,7 +208,7 @@ class BatchGaussMarkovShadowing:
         fading clock to a fresh array every epoch and calls this
         directly.
         """
-        cfg = self.config
+        cfg = self._config
         if self._last_time is not None:
             dt = np.maximum(0.0, now - self._last_time)
             if cfg.sigma_db > 0:
@@ -236,9 +255,28 @@ class RicianFading:
         if speed_scale_mps <= 0:
             raise ValueError("speed_scale_mps must be positive")
         self._rng = rng
-        self.k_factor_hover_db = k_factor_hover_db
-        self.k_factor_floor_db = k_factor_floor_db
-        self.speed_scale_mps = speed_scale_mps
+        self._k_hover_db = k_factor_hover_db
+        self._k_floor_db = k_factor_floor_db
+        self._speed_scale_mps = speed_scale_mps
+        # LOS amplitude nu and scatter sigma at the last speed.
+        self._speed_key: float | None = None
+        self._nu = self._scale = 0.0
+
+    # Read-only: the envelope memo depends on them.
+    @property
+    def k_factor_hover_db(self) -> float:
+        """Rician K-factor (dB) at zero speed."""
+        return self._k_hover_db
+
+    @property
+    def k_factor_floor_db(self) -> float:
+        """Rician K-factor (dB) the speed decay approaches."""
+        return self._k_floor_db
+
+    @property
+    def speed_scale_mps(self) -> float:
+        """Speed over which the K-factor's excess over the floor falls by e."""
+        return self._speed_scale_mps
 
     def k_factor_db(self, relative_speed_mps: float) -> float:
         """Rician K-factor (dB) at the given relative speed."""
@@ -251,13 +289,20 @@ class RicianFading:
 
     def sample_db(self, relative_speed_mps: float = 0.0) -> float:
         """One fading realisation (dB), unit mean power."""
-        k_lin = float(np.power(10.0, self.k_factor_db(relative_speed_mps) / 10.0))
-        # Rician envelope power: LOS amplitude nu, scatter sigma^2 per
-        # component, normalised to unit mean power.
-        sigma2 = 1.0 / (2.0 * (k_lin + 1.0))
-        nu = math.sqrt(k_lin / (k_lin + 1.0))
-        x = float(self._rng.normal(nu, math.sqrt(sigma2)))
-        y = float(self._rng.normal(0.0, math.sqrt(sigma2)))
+        if relative_speed_mps != self._speed_key:
+            # Both depend on the speed alone (and the speed is checked
+            # on its first use), so they change only with its value.
+            k_lin = float(
+                np.power(10.0, self.k_factor_db(relative_speed_mps) / 10.0)
+            )
+            # Rician envelope power: LOS amplitude nu, scatter sigma^2
+            # per component, normalised to unit mean power.
+            sigma2 = 1.0 / (2.0 * (k_lin + 1.0))
+            self._nu = math.sqrt(k_lin / (k_lin + 1.0))
+            self._scale = math.sqrt(sigma2)
+            self._speed_key = relative_speed_mps
+        x = float(self._rng.normal(self._nu, self._scale))
+        y = float(self._rng.normal(0.0, self._scale))
         power = x * x + y * y
         return 10.0 * float(np.log10(max(power, 1e-12)))
 
@@ -285,11 +330,27 @@ class BatchRicianFading:
             raise ValueError("speed_scale_mps must be positive")
         self._rng = rng
         self.n_replicas = n_replicas
-        self.k_factor_hover_db = k_factor_hover_db
-        self.k_factor_floor_db = k_factor_floor_db
-        self.speed_scale_mps = speed_scale_mps
+        self._k_hover_db = k_factor_hover_db
+        self._k_floor_db = k_factor_floor_db
+        self._speed_scale_mps = speed_scale_mps
         self._speed_key: "float | np.ndarray | None" = None
         self._nu = self._scale = np.zeros(0)
+
+    # Read-only: the envelope memo depends on them.
+    @property
+    def k_factor_hover_db(self) -> float:
+        """Rician K-factor (dB) at zero speed."""
+        return self._k_hover_db
+
+    @property
+    def k_factor_floor_db(self) -> float:
+        """Rician K-factor (dB) the speed decay approaches."""
+        return self._k_floor_db
+
+    @property
+    def speed_scale_mps(self) -> float:
+        """Speed over which the K-factor's excess over the floor falls by e."""
+        return self._speed_scale_mps
 
     def k_factor_db(self, relative_speed_mps: np.ndarray) -> np.ndarray:
         """Per-replica Rician K-factor (dB) at the given relative speeds."""

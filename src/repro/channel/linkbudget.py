@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["LinkBudget", "noise_floor_dbm"]
 
@@ -45,12 +46,13 @@ class LinkBudget:
         if self.noise_figure_db < 0:
             raise ValueError("noise figure must be non-negative")
 
-    @property
+    # The budget is frozen, so its derived terms are computed once.
+    @cached_property
     def noise_floor_dbm(self) -> float:
         """Receiver noise floor in dBm."""
         return noise_floor_dbm(self.bandwidth_hz, self.noise_figure_db)
 
-    @property
+    @cached_property
     def eirp_dbm(self) -> float:
         """Effective isotropic radiated power."""
         return self.tx_power_dbm + self.tx_antenna_gain_dbi

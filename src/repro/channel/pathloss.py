@@ -95,16 +95,21 @@ class DualSlopePathLoss:
             raise ValueError("path-loss exponents must be positive")
         if self.breakpoint_m <= self.reference_distance_m:
             raise ValueError("breakpoint must exceed the reference distance")
-
-    def loss_db(self, distance_m: float) -> float:
-        d = _check_distance(distance_m)
+        # The near segment and its loss at the breakpoint depend on the
+        # frozen fields alone: build them once, not per call.
         near = LogDistancePathLoss(
             self.near_exponent, self.reference_loss_db, self.reference_distance_m
         )
+        object.__setattr__(self, "_near", near)
+        object.__setattr__(self, "_at_break_db", near.loss_db(self.breakpoint_m))
+
+    def loss_db(self, distance_m: float) -> float:
+        d = _check_distance(distance_m)
         if d <= self.breakpoint_m:
-            return near.loss_db(d)
-        at_break = near.loss_db(self.breakpoint_m)
-        return at_break + 10.0 * self.far_exponent * math.log10(d / self.breakpoint_m)
+            return self._near.loss_db(d)
+        return self._at_break_db + 10.0 * self.far_exponent * math.log10(
+            d / self.breakpoint_m
+        )
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -78,7 +79,12 @@ class BurstOutcome:
 
 
 class AmpduLink:
-    """Airtime and delivery model for A-MPDU bursts on one link."""
+    """Airtime and delivery model for A-MPDU bursts on one link.
+
+    ``config``, ``phy`` and ``dcf`` are frozen and fixed at
+    construction, so the per-MCS aggregate size and the burst airtime
+    of each (MCS, aggregate size) pair are computed once per link.
+    """
 
     def __init__(
         self,
@@ -86,21 +92,55 @@ class AmpduLink:
         phy: PhyConfig = PhyConfig(),
         dcf: DcfTiming = DcfTiming(),
     ) -> None:
-        self.config = config
-        self.phy = phy
-        self.dcf = dcf
+        self._config = config
+        self._phy = phy
+        self._dcf = dcf
+        self._subframes: Dict[int, int] = {}
+        self._airtime: Dict[Tuple[int, int], float] = {}
+
+    @property
+    def config(self) -> AmpduConfig:
+        """Aggregation parameters."""
+        return self._config
+
+    @property
+    def phy(self) -> PhyConfig:
+        """PHY configuration the airtimes are charged at."""
+        return self._phy
+
+    @property
+    def dcf(self) -> DcfTiming:
+        """Contention timing charged per exchange."""
+        return self._dcf
 
     # ------------------------------------------------------------------
+    def subframes_for_mcs(self, mcs_index: int) -> int:
+        """Aggregate size at ``MCS{mcs_index}``'s PHY rate (host starvation)."""
+        n = self._subframes.get(mcs_index)
+        if n is None:
+            n = self._config.subframes_for_rate(self._phy.data_rate_bps(mcs_index))
+            self._subframes[mcs_index] = n
+        return n
+
     def burst_airtime_s(self, mcs_index: int, n_subframes: int) -> float:
         """Full exchange duration for an ``n_subframes`` aggregate."""
+        key = (mcs_index, n_subframes)
+        airtime = self._airtime.get(key)
+        if airtime is not None:
+            return airtime
         if n_subframes < 1:
             raise ValueError("n_subframes must be >= 1")
-        psdu_bytes = n_subframes * self.config.layout.subframe_bytes
-        data = ppdu_duration_s(psdu_bytes, mcs_index, self.phy)
+        psdu_bytes = n_subframes * self._config.layout.subframe_bytes
+        data = ppdu_duration_s(psdu_bytes, mcs_index, self._phy)
         back = legacy_frame_duration_s(
-            BLOCK_ACK_BYTES, self.config.block_ack_rate_bps
+            BLOCK_ACK_BYTES, self._config.block_ack_rate_bps
         )
-        return self.dcf.exchange_overhead_s() + data + self.dcf.sifs_s + back
+        airtime = self._dcf.exchange_overhead_s() + data + self._dcf.sifs_s + back
+        # Bounded: at most one entry per (MCS, aggregate size) a link
+        # can send; larger aggregates are computed on every call.
+        if n_subframes <= self._config.max_subframes:
+            self._airtime[key] = airtime
+        return airtime
 
     def expected_goodput_bps(self, mcs_index: int, subframe_per: float) -> float:
         """Long-run application goodput at a constant subframe PER.
@@ -112,8 +152,7 @@ class AmpduLink:
         """
         if not 0.0 <= subframe_per <= 1.0:
             raise ValueError("subframe_per must be within [0, 1]")
-        rate = self.phy.data_rate_bps(mcs_index)
-        n = self.config.subframes_for_rate(rate)
+        n = self.subframes_for_mcs(mcs_index)
         airtime = self.burst_airtime_s(mcs_index, n)
         payload_bits = n * self.config.layout.app_payload_bytes * 8
         return payload_bits * (1.0 - subframe_per) / airtime
@@ -133,8 +172,7 @@ class AmpduLink:
         """
         if not 0.0 <= subframe_per <= 1.0:
             raise ValueError("subframe_per must be within [0, 1]")
-        rate = self.phy.data_rate_bps(mcs_index)
-        n = self.config.subframes_for_rate(rate)
+        n = self.subframes_for_mcs(mcs_index)
         if backlog_bytes is not None:
             if backlog_bytes <= 0:
                 return BurstOutcome(mcs_index, 0, 0, 0, 0.0)

@@ -107,7 +107,7 @@ class BatchWirelessLink:
         self.n_replicas = channel.n_replicas
         self.error_model = error_model if error_model is not None else ErrorModel()
         self.phy = phy
-        self.mac = AmpduLink(ampdu if ampdu is not None else AmpduConfig(), phy)
+        self._mac = AmpduLink(ampdu if ampdu is not None else AmpduConfig(), phy)
         streams = streams if streams is not None else RandomStreams(seed=0)
         self._rng = streams.get(f"{stream_name}.delivery")
         self.epoch_s = epoch_s
@@ -121,7 +121,7 @@ class BatchWirelessLink:
             # code path is byte-for-byte the pre-fault one.
             if outage.is_empty:
                 outage = None
-        self.outage = outage
+        self._outage = outage
         #: Replica-epochs spent blacked out by injected outages so far.
         self.outage_replica_epochs = 0
         self._oracle_hints = hasattr(controller, "expected_goodput_bps")
@@ -147,6 +147,18 @@ class BatchWirelessLink:
         )
         self._app_payload_bytes = layout.app_payload_bytes
         self._subframe_bytes = layout.subframe_bytes
+
+    # Read-only, as on the scalar twin: the per-MCS tables above are
+    # built from ``mac``.
+    @property
+    def mac(self) -> AmpduLink:
+        """The A-MPDU airtime and delivery model."""
+        return self._mac
+
+    @property
+    def outage(self) -> Optional[BatchOutageSchedule]:
+        """The per-replica blackout windows (``None``: fault-free)."""
+        return self._outage
 
     def is_blacked_out(self, now_s: float) -> np.ndarray:
         """Per-replica injected-outage mask at ``now_s``."""

@@ -127,8 +127,7 @@ class DetailedLink:
                 else None
             )
             mcs = self.controller.select(now, snr_hint_db=hint)
-            rate = self.phy.data_rate_bps(mcs)
-            n_max = self.mac.config.subframes_for_rate(rate)
+            n_max = self.mac.subframes_for_mcs(mcs)
             remaining = total_mpdus - scoreboard.completed
             batch = scoreboard.next_batch(min(n_max, self.window_size))
             batch = [seq for seq in batch if seq < total_mpdus][: max(1, remaining)]

@@ -72,7 +72,7 @@ class WirelessLink:
         self.controller = controller
         self.error_model = error_model if error_model is not None else ErrorModel()
         self.phy = phy
-        self.mac = AmpduLink(ampdu if ampdu is not None else AmpduConfig(), phy)
+        self._mac = AmpduLink(ampdu if ampdu is not None else AmpduConfig(), phy)
         streams = streams if streams is not None else RandomStreams(seed=0)
         self._rng = streams.get(f"{stream_name}.delivery")
         self.epoch_s = epoch_s
@@ -80,12 +80,36 @@ class WirelessLink:
         # path is byte-for-byte the pre-fault one.
         if outage is not None and outage.is_empty:
             outage = None
-        self.outage = outage
+        self._outage = outage
         self._oracle_hints = hasattr(controller, "expected_goodput_bps")
+        # The layout is frozen: read its derived sizes once.
+        layout = self._mac.config.layout
+        self._subframe_bytes = layout.subframe_bytes
+        self._app_payload_bytes = layout.app_payload_bytes
+        # The last time is_blacked_out found the link clear, so a step
+        # at that same time need not ask the schedule again.
+        self._clear_at_s: Optional[float] = None
+
+    # Read-only: the cached layout sizes and the outage memo depend on
+    # them.
+    @property
+    def mac(self) -> AmpduLink:
+        """The A-MPDU airtime and delivery model."""
+        return self._mac
+
+    @property
+    def outage(self) -> Optional[OutageSchedule]:
+        """The injected blackout windows (``None``: fault-free)."""
+        return self._outage
 
     def is_blacked_out(self, now_s: float) -> bool:
         """Whether an injected outage silences the link at ``now_s``."""
-        return self.outage is not None and self.outage.is_out(now_s)
+        if self._outage is None:
+            return False
+        if self._outage.is_out(now_s):
+            return True
+        self._clear_at_s = now_s
+        return False
 
     # ------------------------------------------------------------------
     def step(
@@ -111,50 +135,50 @@ class WirelessLink:
             return self._step_subdivided(
                 now_s, distance_m, relative_speed_mps, dt, backlog_bytes
             )
-        snr = self.channel.sample_snr_db(now_s, distance_m, relative_speed_mps)
+        channel = self.channel
+        snr = channel.sample_snr_db(now_s, distance_m, relative_speed_mps)
         hint = (
-            self.channel.mean_snr_db(distance_m, relative_speed_mps)
+            channel.mean_snr_db(distance_m, relative_speed_mps)
             if self._oracle_hints
             else None
         )
         mcs = self.controller.select(now_s, snr_hint_db=hint)
-        if self.outage is not None and self.outage.is_out(now_s):
+        outage = self._outage
+        if (
+            outage is not None
+            and now_s != self._clear_at_s
+            and outage.is_out(now_s)
+        ):
             # Blacked out: the channel and controller state evolved as
             # usual, but no subframes are attempted, no delivery
             # randomness is consumed and no feedback is given —
             # mirroring the backlog-drained early return below.
             return LinkStepResult(0, 0, 0, mcs, snr, 0.0)
-        layout = self.mac.config.layout
-        per = self.error_model.per(snr, mcs, layout.subframe_bytes)
+        per = self.error_model.per(snr, mcs, self._subframe_bytes)
 
-        rate = self.phy.data_rate_bps(mcs)
-        n_sub = self.mac.config.subframes_for_rate(rate)
+        mac = self._mac
+        n_sub = mac.subframes_for_mcs(mcs)
         if backlog_bytes is not None:
             if backlog_bytes <= 0:
                 return LinkStepResult(0, 0, 0, mcs, snr, 0.0)
-            needed = -(-backlog_bytes // layout.app_payload_bytes)
+            needed = -(-backlog_bytes // self._app_payload_bytes)
             n_sub = max(1, min(n_sub, needed))
-        burst_airtime = self.mac.burst_airtime_s(mcs, n_sub)
+        burst_airtime = mac.burst_airtime_s(mcs, n_sub)
         n_bursts = max(1, int(dt / burst_airtime))
         total_sub = n_bursts * n_sub
         if backlog_bytes is not None:
-            max_needed = -(-backlog_bytes // layout.app_payload_bytes)
             # Allow retransmission headroom: cap attempts at twice the
             # backlog plus slack, so a draining queue does not inflate
             # the subframe count artificially.
-            total_sub = min(total_sub, max(2 * max_needed, n_sub))
+            total_sub = min(total_sub, max(2 * needed, n_sub))
         delivered_sub = int(self._rng.binomial(total_sub, max(0.0, 1.0 - per)))
-        payload = delivered_sub * layout.app_payload_bytes
+        payload = delivered_sub * self._app_payload_bytes
         if backlog_bytes is not None:
             payload = min(payload, backlog_bytes)
         self.controller.feedback(now_s, mcs, total_sub, delivered_sub)
         return LinkStepResult(
-            bytes_delivered=payload,
-            subframes_sent=total_sub,
-            subframes_delivered=delivered_sub,
-            mcs_index=mcs,
-            snr_db=snr,
-            airtime_s=min(dt, n_bursts * burst_airtime),
+            payload, total_sub, delivered_sub, mcs, snr,
+            min(dt, n_bursts * burst_airtime),
         )
 
     def _step_subdivided(
@@ -210,7 +234,5 @@ class WirelessLink:
         snr = self.channel.mean_snr_db(distance_m, relative_speed_mps)
         if mcs_index is None:
             mcs_index = self.controller.select(0.0, snr_hint_db=snr)
-        per = self.error_model.per(
-            snr, mcs_index, self.mac.config.layout.subframe_bytes
-        )
-        return self.mac.expected_goodput_bps(mcs_index, per)
+        per = self.error_model.per(snr, mcs_index, self._subframe_bytes)
+        return self._mac.expected_goodput_bps(mcs_index, per)

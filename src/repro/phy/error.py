@@ -28,6 +28,7 @@ Two-stream entries additionally carry a success-probability ceiling
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Mapping
 
 import numpy as np
@@ -91,6 +92,24 @@ class ErrorModel:
         missing = set(MCS_TABLE) - set(self.thresholds_db)
         if missing:
             raise ValueError(f"thresholds missing for MCS indices {sorted(missing)}")
+        # A read-only copy: the caller's mapping may change later, but
+        # this model's tables (and the caches derived from them below
+        # and in _lookup_tables) may not.
+        object.__setattr__(
+            self, "thresholds_db", MappingProxyType(dict(self.thresholds_db))
+        )
+        # (threshold, uses_sdm) per modelled MCS, read on every per().
+        object.__setattr__(self, "_per_mcs", {
+            idx: (self.thresholds_db[idx], entry.uses_sdm)
+            for idx, entry in MCS_TABLE.items()
+        })
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild from a plain dict.
+        return (type(self), (
+            dict(self.thresholds_db), self.slope_db, self.sdm_efficiency,
+            self.reference_bytes,
+        ))
 
     # ------------------------------------------------------------------
     def threshold_db(self, mcs_index: int) -> float:
@@ -109,27 +128,25 @@ class ErrorModel:
         """
         if frame_bytes <= 0:
             raise ValueError("frame_bytes must be positive")
-        entry = get_mcs(mcs_index)
-        threshold = self.threshold_db(mcs_index)
+        try:
+            threshold, uses_sdm = self._per_mcs[mcs_index]
+        except KeyError:
+            get_mcs(mcs_index)  # raises for an index outside MCS_TABLE
+            raise
         x = (snr_db - threshold) / self.slope_db
-        # Logistic in SNR; guard the exponent against overflow.  The
+        # Logistic in SNR.  The exponent is clamped only so np.exp never
+        # overflows: beyond |x| = 40 the result no longer depends on it
+        # (docs/PERFORMANCE.md, "Scalar link fixed cost").  The
         # transcendentals go through NumPy's scalar ufunc path so that
         # :meth:`per_array` (the vectorised twin) matches bit for bit.
-        if x > 40.0:
-            per_ref = 0.0
-        elif x < -40.0:
-            per_ref = 1.0
-        else:
-            per_ref = 1.0 / (1.0 + float(np.exp(x)))
-        if per_ref >= 1.0:
-            return 1.0
-        success_ref = 1.0 - per_ref
+        x = 60.0 if x > 60.0 else -60.0 if x < -60.0 else x
+        per_ref = 1.0 / (1.0 + float(np.exp(x)))
         success = float(
-            np.power(success_ref, frame_bytes / self.reference_bytes)
+            np.power(1.0 - per_ref, frame_bytes / self.reference_bytes)
         )
-        if entry.uses_sdm:
+        if uses_sdm:
             success *= self.sdm_efficiency
-        return min(1.0, max(0.0, 1.0 - success))
+        return 1.0 - success
 
     def per_array(
         self,
@@ -157,15 +174,10 @@ class ErrorModel:
             bad = np.unique(mcs[np.isnan(thr)])
             raise KeyError(f"no threshold for MCS indices {bad.tolist()}")
         x = (snr - thr) / self.slope_db
-        exp_x = np.exp(np.minimum(np.maximum(x, -60.0), 60.0))
-        per_ref = np.where(
-            x > 40.0, 0.0, np.where(x < -40.0, 1.0, 1.0 / (1.0 + exp_x))
-        )
-        success_ref = 1.0 - per_ref
-        success = np.power(success_ref, frame_bytes / self.reference_bytes)
+        per_ref = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(x, -60.0), 60.0)))
+        success = np.power(1.0 - per_ref, frame_bytes / self.reference_bytes)
         success = np.where(sdm[mcs], success * self.sdm_efficiency, success)
-        per = np.minimum(1.0, np.maximum(0.0, 1.0 - success))
-        return np.where(per_ref >= 1.0, 1.0, per)
+        return 1.0 - success
 
     def success_probability_array(
         self,

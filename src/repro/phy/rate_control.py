@@ -107,6 +107,8 @@ class BestMcsOracle:
             raise ValueError("candidate set must not be empty")
         self._subframe_bytes = subframe_bytes
         self._last_choice = self._candidates[0]
+        # The hint behind _last_choice (None: no hint yet).
+        self._last_hint: Optional[float] = None
 
     @property
     def candidates(self) -> List[int]:
@@ -122,14 +124,20 @@ class BestMcsOracle:
         return rate * p
 
     def select(self, now_s: float, snr_hint_db: Optional[float] = None) -> int:
-        """The goodput-maximising candidate for the hinted SNR."""
-        if snr_hint_db is None:
+        """The goodput-maximising candidate for the hinted SNR.
+
+        The choice is a pure function of the hint (the mean SNR, which a
+        hovering link holds fixed), so it is recomputed only when the
+        hint value changes.
+        """
+        if snr_hint_db is None or snr_hint_db == self._last_hint:
             return self._last_choice
         best = max(
             self._candidates,
             key=lambda idx: self.expected_goodput_bps(snr_hint_db, idx),
         )
         self._last_choice = best
+        self._last_hint = snr_hint_db
         return best
 
     def feedback(
@@ -193,7 +201,7 @@ class ArfController:
 
     def select(self, now_s: float, snr_hint_db: Optional[float] = None) -> int:
         """The current chain position; ARF ignores SNR hints."""
-        return self.current_mcs
+        return self._chain[self._position]
 
     def feedback(
         self, now_s: float, mcs_index: int, attempted: int, succeeded: int

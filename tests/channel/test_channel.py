@@ -77,6 +77,35 @@ class TestAerialChannel:
         sb = [b.sample_snr_db(i * 0.02, 80.0) for i in range(100)]
         assert np.allclose(sa, sb)
 
+    def test_mean_memo_matches_profile(self):
+        channel = AerialChannel(quadrocopter_profile(), RandomStreams(3))
+        profile = channel.profile
+        # Misses, hits, a speed-only change and returns to earlier keys.
+        for d, v in ((60.0, 0.0), (60.0, 0.0), (61.5, 0.0), (61.5, 4.0),
+                     (70.0, 4.0), (70.0, 4.0), (60.0, 0.0), (3.0, 12.0)):
+            assert channel.mean_snr_db(d, v) == profile.mean_snr_db(d, v)
+        with pytest.raises(ValueError):
+            channel.mean_snr_db(60.0, -1.0)
+        assert channel.mean_snr_db(3.0, 12.0) == profile.mean_snr_db(3.0, 12.0)
+
+    def test_memo_inputs_are_read_only(self):
+        from repro.channel import BatchAerialChannel
+
+        channel = AerialChannel(airplane_profile(), RandomStreams(3))
+        batch = BatchAerialChannel(airplane_profile(), 2, RandomStreams(3))
+        targets = [
+            (channel, "profile"), (batch, "profile"),
+            (channel._shadowing, "config"), (batch._shadowing, "config"),
+        ] + [
+            (fading, name)
+            for fading in (channel._rician, batch._rician)
+            for name in ("k_factor_hover_db", "k_factor_floor_db",
+                         "speed_scale_mps")
+        ]
+        for owner, name in targets:
+            with pytest.raises(AttributeError):
+                setattr(owner, name, getattr(owner, name))
+
     def test_speed_lowers_quad_samples(self):
         slow = AerialChannel(quadrocopter_profile(), RandomStreams(3))
         fast = AerialChannel(quadrocopter_profile(), RandomStreams(3))

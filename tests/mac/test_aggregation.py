@@ -49,6 +49,27 @@ class TestAirtime:
         with pytest.raises(ValueError):
             link.burst_airtime_s(3, 0)
 
+    def test_memoised_terms_match_fresh_links(self, link):
+        cfg = link.config
+        for mcs in range(16):
+            # Hit the memo twice, then compare with a link that never saw
+            # the inputs; past max_subframes nothing is memoised.
+            for n in range(1, cfg.max_subframes + 3):
+                first = link.burst_airtime_s(mcs, n)
+                assert link.burst_airtime_s(mcs, n) == first
+                assert AmpduLink().burst_airtime_s(mcs, n) == first
+            assert link.subframes_for_mcs(mcs) == cfg.subframes_for_rate(
+                link.phy.data_rate_bps(mcs)
+            )
+        assert len(link._airtime) == 16 * cfg.max_subframes
+        with pytest.raises(KeyError):
+            link.subframes_for_mcs(16)
+
+    def test_memo_inputs_are_read_only(self, link):
+        for name in ("config", "phy", "dcf"):
+            with pytest.raises(AttributeError):
+                setattr(link, name, getattr(link, name))
+
 
 class TestExpectedGoodput:
     def test_zero_per_mcs3_efficiency(self, link):

@@ -205,6 +205,14 @@ class TestBatchSemantics:
         # Replica 0 is out at t = 0.06, 0.08 and 0.10; replica 1 never.
         assert link.outage_replica_epochs == 3
 
+    def test_cached_inputs_are_read_only(self):
+        # Both links derive layout sizes (and the scalar its outage memo)
+        # from these when they are built.
+        for link in make_pair("arf"):
+            for name in ("mac", "outage"):
+                with pytest.raises(AttributeError):
+                    setattr(link, name, getattr(link, name))
+
     def test_expected_goodput_matches_scalar_shape(self):
         _, batched = make_pair("oracle", n_replicas=4)
         goodput = batched.expected_goodput_bps(np.array([50.0, 100.0, 200.0, 300.0]))

@@ -112,3 +112,30 @@ class TestPerArrayGuards:
         indices = np.array(sorted(all_mcs_indices()))
         per = model.per_array(np.full(indices.shape, 12.0), indices)
         assert per.tolist() == [model.per(12.0, int(i)) for i in indices]
+
+
+class TestThresholdsReadOnly:
+    def test_mutation_raises_and_twins_agree(self, model):
+        before = (model.per(10.0, 3), model.per_array([10.0], [3])[0])
+        with pytest.raises(TypeError):
+            model.thresholds_db[3] = 12.0
+        assert model.per(10.0, 3) == model.per_array([10.0], [3])[0]
+        assert (model.per(10.0, 3), model.per_array([10.0], [3])[0]) == before
+
+    def test_caller_mapping_is_copied(self):
+        thresholds = dict(AERIAL_THRESHOLDS)
+        model = ErrorModel(thresholds_db=thresholds)
+        model.per_array([10.0], [3])  # build the lookup tables
+        thresholds[3] = 12.0
+        assert model.threshold_db(3) == AERIAL_THRESHOLDS[3]
+        assert model.per(10.0, 3) == model.per_array([10.0], [3])[0]
+
+    def test_pickle_and_copy_round_trip(self, model):
+        import copy
+        import pickle
+
+        for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert clone == model
+            assert clone.per(10.0, 8) == model.per(10.0, 8)
+            with pytest.raises(TypeError):
+                clone.thresholds_db[3] = 12.0
