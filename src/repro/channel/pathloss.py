@@ -37,8 +37,11 @@ class PathLossModel(Protocol):
 
 
 def _check_distance(distance_m: float) -> float:
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
+    # Written so that NaN fails too: a NaN distance compares false.
+    if not 0 < distance_m < math.inf:
+        raise ValueError(
+            f"distance must be positive and finite, got {distance_m}"
+        )
     # Below one metre the far-field assumption collapses; clamp.
     return max(distance_m, 1.0)
 

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import base64
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -69,18 +70,17 @@ __all__ = [
 _POINT_GROUP_LIMIT = 256
 _GROUP_SIZE = 2048
 
-#: BatchResult column names, in storage order.
-_COLUMNS = (
-    "distance_m",
-    "utility",
-    "cdelay_s",
-    "shipping_s",
-    "transmission_s",
-    "discount",
-    "contact_distance_m",
-    "speed_mps",
-    "data_bits",
-)
+
+@lru_cache(maxsize=None)
+def _columns() -> Tuple[str, ...]:
+    """:class:`BatchResult`'s column names, in field order.
+
+    Resolved on first use, so importing this module does not load the
+    engine.
+    """
+    from ..engine.batch import BatchResult
+
+    return tuple(f.name for f in fields(BatchResult) if f.name != "tolerance_m")
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _group_body(result: "BatchResult", start: int, stop: int) -> dict:
         "tolerance_m": float(result.tolerance_m),
         "columns": {
             name: _encode_column(getattr(result, name)[start:stop])
-            for name in _COLUMNS
+            for name in _columns()
         },
     }
 
@@ -169,7 +169,7 @@ def _decode_group(body: dict) -> Optional[Tuple[Dict[str, np.ndarray], float]]:
         tolerance = float(body["tolerance_m"])
         columns = {
             name: _decode_column(body["columns"][name], n)
-            for name in _COLUMNS
+            for name in _columns()
         }
     except (KeyError, TypeError, ValueError):
         return None
@@ -227,13 +227,14 @@ def _assemble(
     """Merge cached groups and freshly solved groups in request order."""
     from ..engine.batch import BatchResult
 
-    columns = {name: np.empty(n, dtype=float) for name in _COLUMNS}
+    names = _columns()
+    columns = {name: np.empty(n, dtype=float) for name in names}
     tolerance = 1e-6
     cursor = 0
     for gi, (start, stop) in enumerate(groups):
         if decoded[gi] is not None:
             cached_columns, cached_tol = decoded[gi]
-            for name in _COLUMNS:
+            for name in names:
                 columns[name][start:stop] = cached_columns[name]
             tolerance = max(tolerance, cached_tol)
     if solved is not None:
@@ -241,7 +242,7 @@ def _assemble(
         for gi in missing:
             start, stop = groups[gi]
             width = stop - start
-            for name in _COLUMNS:
+            for name in names:
                 columns[name][start:stop] = getattr(solved, name)[
                     cursor:cursor + width
                 ]
@@ -374,7 +375,7 @@ def solve_incremental(
         columns, tolerance = entry
         decision = OptimalDecision(
             tolerance_m=tolerance,
-            **{name: float(columns[name][0]) for name in _COLUMNS},
+            **{name: float(columns[name][0]) for name in _columns()},
         )
         report = StoreReport(
             enabled=True, points=1, warm_points=1, entry_hits=1

@@ -4,14 +4,25 @@ Layout (under ``REPRO_CACHE_DIR``, default ``~/.cache/repro``)::
 
     index.json             LRU index: {key: {size, tick}}, logical clock
     lock                   advisory flock for index mutations
-    objects/ab/abcd....json one entry; {"key", "sha256", "body"}
+    objects/ab/abcd....json one entry (see below)
+
+An entry file is the canonical JSON of ``{"body", "key", "sha256"}``,
+i.e. the bytes ``{"body":<B>,"key":"<key>","sha256":"<hex>"}`` where
+``<B>`` is the canonical JSON of the body and ``<hex>`` the SHA-256 of
+exactly those bytes.  Writers encode the body once and splice the
+wrapper around it (:func:`_document`); readers check the fixed head
+and the tail that names the key, hash the body bytes as stored and
+parse only them (:func:`_parse_document`) — a warm read is one file
+read, one hash and one parse.
 
 Guarantees:
 
 * **atomicity** — payloads and the index are written tmp+rename
   (:mod:`repro.store.atomic`), so readers never see torn entries;
 * **self-verification** — every entry carries the SHA-256 of its
-  canonical body; a mismatch (bit rot, partial disk, manual edits) is
+  body's stored bytes; any file that is not exactly the document the
+  store writes for its key (bit rot, truncation, appended bytes, a
+  wrong key, manual edits — even ones that reformat equal JSON) is
   treated as a miss, the entry is dropped, and ``corrupt`` is counted —
   never an exception;
 * **bounded size** — a byte-capped LRU: the index orders entries by a
@@ -37,7 +48,7 @@ import threading
 from pathlib import Path
 from typing import Dict, Optional
 
-from .atomic import FileLock, atomic_write_text
+from .atomic import FileLock, atomic_write_bytes, atomic_write_text
 from .fingerprint import canonical_json
 
 __all__ = [
@@ -53,6 +64,59 @@ __all__ = [
 DEFAULT_MAX_BYTES = 512 * 2**20
 
 _INDEX_VERSION = 1
+
+#: An entry document's fixed head and the tail's parts (after the body).
+_HEAD = b'{"body":'
+_KEY_SEP = b',"key":'
+_SHA_SEP = b',"sha256":"'
+_END = b'"}'
+_SHA_LEN = 64
+
+
+def _document(key: str, body: object) -> bytes:
+    """The entry file for ``body`` under ``key``.
+
+    Byte-identical to ``canonical_json({"key": key, "sha256": sha,
+    "body": body})`` with ``sha`` the SHA-256 of the body's canonical
+    JSON, but the body is encoded once.  Raises ``TypeError`` or
+    ``ValueError`` when the body does not encode canonically.
+    """
+    encoded = canonical_json(body).encode("ascii")
+    return b"".join((
+        _HEAD,
+        encoded,
+        _KEY_SEP,
+        canonical_json(key).encode("ascii"),
+        _SHA_SEP,
+        hashlib.sha256(encoded).hexdigest().encode("ascii"),
+        _END,
+    ))
+
+
+def _parse_document(key: str, raw: bytes) -> Optional[object]:
+    """The body of entry file ``raw`` if it is ``key``'s document, else None.
+
+    Checks the head and the tail that names ``key``, hashes the body
+    bytes as stored against the tail's checksum and parses only them.
+    """
+    tail = _KEY_SEP + canonical_json(key).encode("ascii") + _SHA_SEP
+    end = len(raw) - len(_END) - _SHA_LEN
+    start = end - len(tail)
+    if (
+        start < len(_HEAD)
+        or not raw.startswith(_HEAD)
+        or not raw.endswith(_END)
+        or raw[start:end] != tail
+    ):
+        return None
+    encoded = raw[len(_HEAD):start]
+    sha = raw[end:end + _SHA_LEN]
+    if hashlib.sha256(encoded).hexdigest().encode("ascii") != sha:
+        return None
+    try:
+        return json.loads(encoded)
+    except ValueError:
+        return None
 
 
 def default_cache_dir() -> Path:
@@ -145,6 +209,11 @@ class ResultStore:
 
     def _load_index(self) -> Dict[str, object]:
         """The on-disk index, rebuilt from the objects tree if damaged."""
+        index = self._read_index()
+        return index if index is not None else self._rebuild_index()
+
+    def _read_index(self) -> Optional[Dict[str, object]]:
+        """The on-disk index, or ``None`` if it is missing or damaged."""
         try:
             with open(self.index_path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -158,7 +227,7 @@ class ResultStore:
             pass
         except (OSError, json.JSONDecodeError, ValueError):
             self._count("corrupt")
-        return self._rebuild_index()
+        return None
 
     def _rebuild_index(self) -> Dict[str, object]:
         """Recover an index by scanning ``objects/`` (sorted, tick 0)."""
@@ -189,22 +258,19 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Entry I/O
     # ------------------------------------------------------------------
-    @staticmethod
-    def _checksum(body: object) -> str:
-        return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
-
     def get(self, key: str, touch: bool = True) -> Optional[dict]:
         """The stored body for ``key``, or ``None``.
 
-        Corrupt entries (bad JSON, checksum mismatch, key mismatch) are
-        dropped and counted as ``corrupt`` — the caller simply sees a
-        miss.  Filesystem errors count as ``errors`` and also miss.
+        Corrupt entries (anything but the exact document
+        :func:`_document` writes for ``key``) are dropped and counted as
+        ``corrupt`` — the caller simply sees a miss.  Filesystem errors
+        count as ``errors`` and also miss.
         ``touch=False`` skips the LRU-tick refresh so batch readers can
         coalesce it into one :meth:`touch_many` index write.
         """
         path = self._object_path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 raw = handle.read()
         except FileNotFoundError:
             self._count("misses")
@@ -213,17 +279,8 @@ class ResultStore:
             self._count("errors")
             self._count("misses")
             return None
-        try:
-            payload = json.loads(raw)
-            body = payload["body"]
-            ok = (
-                payload.get("key") == key
-                and payload.get("sha256") == self._checksum(body)
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            ok = False
-            body = None
-        if not ok:
+        body = _parse_document(key, raw)
+        if body is None:
             self._count("corrupt")
             self._count("misses")
             self._drop(key)
@@ -245,16 +302,14 @@ class ResultStore:
         if self.max_bytes <= 0 or not self._ensure_dirs():
             return False
         try:
-            document = canonical_json(
-                {"key": key, "sha256": self._checksum(body), "body": body}
-            )
+            document = _document(key, body)
         except (TypeError, ValueError):
             self._count("errors")
             return False
         path = self._object_path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, document)
+            atomic_write_bytes(path, document)
         except OSError:
             self._count("errors")
             return False
@@ -286,16 +341,14 @@ class ResultStore:
         written: Dict[str, int] = {}
         for key, body in items.items():
             try:
-                document = canonical_json(
-                    {"key": key, "sha256": self._checksum(body), "body": body}
-                )
+                document = _document(key, body)
             except (TypeError, ValueError):
                 self._count("errors")
                 continue
             path = self._object_path(key)
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                atomic_write_text(path, document)
+                atomic_write_bytes(path, document)
             except OSError:
                 self._count("errors")
                 continue
@@ -320,13 +373,23 @@ class ResultStore:
         return len(written)
 
     def touch_many(self, keys) -> None:
-        """Refresh the LRU tick of several keys in one index write."""
+        """Refresh the LRU tick of several keys in one index write.
+
+        Skips the write when the present keys, in the order a refresh
+        would leave them (by last occurrence), already hold the newest
+        ticks of an intact on-disk index: the refresh could then change
+        no eviction order, only renumber it.
+        """
         keys = [key for key in keys if key]
         if not keys:
             return
         try:
             with FileLock(self.lock_path):
-                index = self._load_index()
+                index = self._read_index()
+                if index is None:
+                    index = self._rebuild_index()
+                elif _already_newest(index, keys):
+                    return
                 entries: Dict[str, Dict[str, int]] = index["entries"]  # type: ignore[assignment]
                 tick = int(index.get("tick", 0))
                 dirty = False
@@ -434,15 +497,8 @@ class ResultStore:
             checked += 1
             key = path.stem
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                ok = (
-                    payload.get("key") == key
-                    and payload.get("sha256")
-                    == self._checksum(payload["body"])
-                )
-            except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                    ValueError):
+                ok = _parse_document(key, path.read_bytes()) is not None
+            except OSError:
                 ok = False
             if not ok:
                 corrupt += 1
@@ -453,6 +509,29 @@ class ResultStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ResultStore({str(self.root)!r}, max_bytes={self.max_bytes})"
+
+
+def _already_newest(index: Dict[str, object], keys) -> bool:
+    """Whether refreshing ``keys`` would leave ``index``'s LRU order as is.
+
+    True when the distinct keys present, ordered by last occurrence (the
+    order a refresh gives them), hold exactly the last ticks of the
+    logical clock, in that order, and no other entry holds any of those
+    ticks or a later one.
+    """
+    entries: Dict[str, Dict[str, int]] = index["entries"]  # type: ignore[assignment]
+    order = list(dict.fromkeys(k for k in reversed(keys) if k in entries))
+    order.reverse()
+    try:
+        low = int(index.get("tick", 0)) - len(order) + 1
+        return all(
+            int(entries[key].get("tick", 0)) == low + i
+            for i, key in enumerate(order)
+        ) and len(order) == sum(
+            1 for entry in entries.values() if int(entry.get("tick", 0)) >= low
+        )
+    except (AttributeError, TypeError, ValueError):
+        return False
 
 
 _DEFAULT_STORES: Dict[str, ResultStore] = {}

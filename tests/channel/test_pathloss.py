@@ -31,6 +31,21 @@ class TestFreeSpace:
         assert model.loss_db(0.5) == model.loss_db(1.0)
 
 
+MODELS = [
+    FreeSpacePathLoss(),
+    LogDistancePathLoss(),
+    DualSlopePathLoss(),
+    TwoRayGroundPathLoss(),
+]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf, -1.0])
+def test_non_finite_or_negative_distance_rejected(model, distance):
+    with pytest.raises(ValueError, match="distance must be positive"):
+        model.loss_db(distance)
+
+
 class TestLogDistance:
     def test_reference_loss_at_reference_distance(self):
         model = LogDistancePathLoss(exponent=2.0, reference_loss_db=50.0)

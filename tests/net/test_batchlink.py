@@ -255,6 +255,36 @@ class TestReturnedArraysOwnNoState:
         )
 
 
+class TestNonFiniteDistance:
+    """A NaN or infinite distance fails the step in both twins."""
+
+    @pytest.mark.parametrize("distance", [np.nan, np.inf])
+    def test_scalar_step_rejects(self, distance):
+        scalar, _ = make_pair("arf")
+        scalar.step(0.0, distance_m=100.0)
+        with pytest.raises(ValueError, match="distance must be positive"):
+            scalar.step(0.02, distance_m=distance)
+
+    @pytest.mark.parametrize("distance", [np.nan, np.inf])
+    def test_batch_step_rejects(self, distance):
+        _, batched = make_pair("arf", n_replicas=3)
+        batched.step(0.0, distance_m=100.0)
+        with pytest.raises(ValueError, match="distance must be positive"):
+            batched.step(0.02, distance_m=np.array([100.0, distance, 50.0]))
+
+    def test_rejection_leaves_the_twins_in_lockstep(self):
+        scalar, batched = make_pair("oracle")
+        for i, distance in enumerate([80.0, np.nan, 80.0, 120.0]):
+            now = 0.02 * i
+            if np.isnan(distance):
+                for link in (scalar, batched):
+                    with pytest.raises(ValueError):
+                        link.step(now, distance_m=distance)
+                continue
+            want = scalar.step(now, distance_m=distance)
+            assert batched.step(now, distance_m=distance).result(0) == want
+
+
 class TestMeanMemo:
     """The per-step memo checks must see every change a replay sees."""
 

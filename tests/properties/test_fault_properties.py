@@ -69,7 +69,12 @@ class TestReplanProperties:
 
 class TestCrashDistanceProperties:
     @given(seed=st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=10, deadline=None)
+    # A 3.5-sigma bound on three survival points misfires on about one
+    # seed in 1300 (1520, 2225 and 2476 in 0..3999), and the example
+    # database then replays that seed on every later run.  Deriving the
+    # seeds from the test itself keeps the bound exact and the run
+    # reproducible.
+    @settings(max_examples=10, deadline=None, derandomize=True)
     def test_survival_frequency_matches_eq1(self, seed):
         """Empirical P(survive x) ~ exp(-rho*x), the paper's delta."""
         rho = 2.46e-4  # quadrocopter hazard per metre

@@ -1,11 +1,24 @@
-"""ResultStore behaviour: round trips, LRU eviction, degradation."""
+"""ResultStore behaviour: round trips, entry documents, LRU eviction,
+degradation."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import api
+from repro.measurements.batch import BatchCampaignConfig, run_campaign
 from repro.store import ResultStore, resolve_store
-from repro.store.store import default_cache_dir, default_store
+from repro.store.fingerprint import canonical_json
+from repro.store.store import (
+    _document,
+    _parse_document,
+    default_cache_dir,
+    default_store,
+)
 
 
 @pytest.fixture
@@ -87,6 +100,151 @@ class TestCorruption:
         store.index_path.write_text("][")
         assert store.stats()["entries"] == 1
         assert store.get(KEY_A) == {"v": 1}
+
+
+def _old_document(key, body):
+    """The entry document as first written: the whole wrapper encoded."""
+    sha = hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+    return canonical_json({"key": key, "sha256": sha, "body": body}).encode()
+
+
+_names = st.one_of(
+    st.sampled_from(["body", "key", "sha256", "n", "columns", "ü", "鍵"]),
+    st.text(max_size=6),
+)
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_names, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestDocument:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.one_of(st.just(KEY_A), st.text(max_size=8)),
+        body=st.dictionaries(_names, _json, max_size=5),
+    )
+    def test_document_equals_the_whole_wrapper_encoding(self, key, body):
+        document = _document(key, body)
+        assert document == _old_document(key, body)
+        assert _parse_document(key, document) == body
+
+    def test_parse_rejects_another_keys_document(self):
+        assert _parse_document(KEY_A, _document(KEY_B, {"v": 1})) is None
+
+    def test_whole_wrapper_entries_stay_warm(self, store):
+        body = {"columns": {"d": "AAAAAAAA8D8="}, "n": 1, "key": "ü"}
+        store.put(KEY_A, {"v": 0})
+        store._object_path(KEY_A).write_bytes(_old_document(KEY_A, body))
+        assert store.get(KEY_A) == body
+        assert store.verify(repair=False) == {"checked": 1, "corrupt": 0}
+        assert store.counters["corrupt"] == 0
+
+
+#: Key every pinned body is stored under: the producers' real keys hold
+#: code fingerprints, which move with any edit to the fingerprinted
+#: modules.
+PIN_KEY = "5a" * 32
+
+#: sha256 of the entry file each producer's body becomes under
+#: ``PIN_KEY``, recorded when every entry was written as the canonical
+#: JSON of the whole ``{"key", "sha256", "body"}`` wrapper.  A chaos
+#: entry's manifest has ``git_rev`` cleared (it names the checkout).
+ENTRY_PINS = {
+    "eq2.sweep":
+        "94d24ef490c3faba7f2103f7ea117eb3fc186af1f68a2e232aeee53afc78c0d2",
+    "campaign.shard":
+        "5e174f4d3264b3655bd52adfbd9a265e914aef3edba49f8de0824a784209817d",
+    "chaos.run":
+        "86af58d8482d7d7ab79e564fe9b6aa18705746146377692aac94d87bda7b3410",
+}
+
+
+def _fill(kind, store):
+    if kind == "eq2.sweep":  # 300 values: one group
+        api.sweep(
+            api.scenario("quadrocopter"), "rho_per_m",
+            np.geomspace(1e-5, 1e-2, 300), cache=store,
+        )
+    elif kind == "campaign.shard":  # block_size covers every replica
+        config = BatchCampaignConfig(
+            profile="quadrocopter", distances_m=(80.0, 160.0),
+            n_replicas=4, duration_s=2.0, seed=3, block_size=8,
+        )
+        run_campaign(config, parallel=False, cache=store)
+    else:
+        plan = api.FaultPlan(name="outage", seed=5).with_outage(6.5, 3.0)
+        api.chaos(plan, scenario_name="airplane", seed=5, cache=store)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_PINS))
+def test_entry_file_bytes_pinned(tmp_path, kind):
+    store = ResultStore(tmp_path / "cache")
+    _fill(kind, store)
+    (path,) = sorted((store.root / "objects").rglob("*.json"))
+    raw = path.read_bytes()
+    body = _parse_document(path.stem, raw)
+    assert body is not None and raw == _document(path.stem, body)
+    if kind == "chaos.run":
+        body["manifest"]["git_rev"] = None
+    pinned = ResultStore(tmp_path / "pinned")
+    assert pinned.put(PIN_KEY, body)
+    digest = hashlib.sha256(pinned._object_path(PIN_KEY).read_bytes())
+    assert digest.hexdigest() == ENTRY_PINS[kind]
+
+
+def _reformatted(raw):
+    """Equal JSON in other bytes (the checksum still names the body)."""
+    return json.dumps(json.loads(raw), indent=1).encode()
+
+
+def _wrong_key(raw):
+    return _document(KEY_B, _parse_document(KEY_A, raw))
+
+
+#: Damage that leaves an entry unreadable as its key's document.  The
+#: reformatted and appended-bytes files still parse to the stored JSON,
+#: checksum included: only their bytes differ.
+DAMAGE = {
+    "reformatted": _reformatted,
+    "wrong-key-in-tail": _wrong_key,
+    "truncated-tail": lambda raw: raw[:-1],
+    "flipped-body-byte": lambda raw: raw.replace(b"1.5", b"2.5"),
+    "appended-bytes": lambda raw: raw + b"\n",
+}
+
+
+class TestDocumentDamage:
+    def _damaged(self, store, name):
+        store.put(KEY_A, {"v": [1.5, "ü"], "key": KEY_B})
+        path = store._object_path(KEY_A)
+        path.write_bytes(DAMAGE[name](path.read_bytes()))
+        return path
+
+    @pytest.mark.parametrize("name", sorted(DAMAGE))
+    def test_get_counts_a_corrupt_miss_and_drops(self, store, name):
+        path = self._damaged(store, name)
+        assert store.get(KEY_A) is None
+        assert store.counters["corrupt"] == 1
+        assert store.counters["misses"] == 1
+        assert store.counters["hits"] == 0
+        assert not path.exists()
+        assert store.stats()["entries"] == 0
+
+    @pytest.mark.parametrize("name", sorted(DAMAGE))
+    def test_verify_counts_a_corrupt_entry_and_drops(self, store, name):
+        path = self._damaged(store, name)
+        assert store.verify(repair=False) == {"checked": 1, "corrupt": 1}
+        assert path.exists()
+        assert store.verify(repair=True) == {"checked": 1, "corrupt": 1}
+        assert not path.exists()
+        assert store.counters["corrupt"] == 2
 
 
 class TestLruEviction:
