@@ -10,9 +10,12 @@ The store's contract (ISSUE 7) is twofold:
   byte-identical to the cold run's, and a warm Fig. 6-style campaign
   must reproduce the cold campaign's samples bit for bit.
 
-Both sides run against a throwaway store directory, with fresh
+Both sides run against throwaway store directories, with fresh
 zero-memo engines per pass so the in-process cache cannot stand in for
-the persistent one.  The report is dumped to ``BENCH_store.json``
+the persistent one.  Each side's wall is the median of
+:data:`REPEATS` passes — cold passes each fill a fresh store, warm
+passes re-read the last one — so one slow pass on a shared machine
+cannot move the ratio across the floor.  The report is dumped to ``BENCH_store.json``
 through the same manifest schema as the other benchmark artifacts.
 
 Run standalone:
@@ -26,7 +29,9 @@ or under pytest-benchmark:
 
 from __future__ import annotations
 
+import statistics
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +60,9 @@ CAMPAIGN = BatchCampaignConfig(
 #: Acceptance bar: warm sweep at least this much faster than cold.
 MIN_SPEEDUP = 10.0
 
+#: Timed passes per side; the gate compares their medians.
+REPEATS = 5
+
 
 def _sweep_pass(store: ResultStore) -> tuple:
     """One full Fig. 8-style pass for both scenarios; (wall, manifests)."""
@@ -79,30 +87,51 @@ def _campaign_pass(store: ResultStore) -> tuple:
     return wall_clock() - t0, result.samples
 
 
+def _median_passes(run_pass, root: Path) -> tuple:
+    """(cold median s, warm median s, outputs identical, store stats).
+
+    Each cold pass fills a fresh store under ``root``; the warm passes
+    then re-read the last one.  Identical means every pass, cold or
+    warm, produced the first cold pass's output.
+    """
+    cold = [run_pass(ResultStore(root / f"cold{i}")) for i in range(REPEATS)]
+    store = ResultStore(root / f"cold{REPEATS - 1}")
+    warm = [run_pass(store) for _ in range(REPEATS)]
+    first = cold[0][1]
+    return (
+        statistics.median(wall for wall, _ in cold),
+        statistics.median(wall for wall, _ in warm),
+        all(out == first for _, out in cold + warm),
+        store.stats(),
+    )
+
+
 def measure() -> dict:
-    """Cold-vs-warm walls and identity checks on a throwaway store."""
+    """Cold-vs-warm median walls and identity checks on throwaway stores."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
-        store = ResultStore(tmp)
-        sweep_cold_s, cold_manifests = _sweep_pass(store)
-        sweep_warm_s, warm_manifests = _sweep_pass(store)
-        campaign_cold_s, cold_samples = _campaign_pass(store)
-        campaign_warm_s, warm_samples = _campaign_pass(store)
-        stats = store.stats()
+        root = Path(tmp)
+        sweep_cold_s, sweep_warm_s, sweep_identical, _ = _median_passes(
+            _sweep_pass, root / "sweep"
+        )
+        campaign_cold_s, campaign_warm_s, campaign_identical, stats = (
+            _median_passes(_campaign_pass, root / "campaign")
+        )
     return {
         "workload": {
             "sweep": "rho_per_m",
             "n_values": int(RHO_VALUES.size),
             "scenarios": ["airplane", "quadrocopter"],
             "campaign_cases": len(CAMPAIGN.distances_m) * CAMPAIGN.n_replicas,
+            "repeats": REPEATS,
         },
         "sweep_cold_s": sweep_cold_s,
         "sweep_warm_s": sweep_warm_s,
         "sweep_speedup": sweep_cold_s / sweep_warm_s,
-        "sweep_manifests_identical": cold_manifests == warm_manifests,
+        "sweep_manifests_identical": sweep_identical,
         "campaign_cold_s": campaign_cold_s,
         "campaign_warm_s": campaign_warm_s,
         "campaign_speedup": campaign_cold_s / campaign_warm_s,
-        "campaign_samples_identical": cold_samples == warm_samples,
+        "campaign_samples_identical": campaign_identical,
         "store_entries": int(stats["entries"]),
         "store_bytes": int(stats["total_bytes"]),
         "min_speedup": MIN_SPEEDUP,

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..sim.random import RandomStreams
+from ..sim.random import RandomStreams, SegmentedStreams
 from .fading import (
     BatchGaussMarkovShadowing,
     BatchRicianFading,
@@ -192,6 +192,9 @@ class BatchAerialChannel:
     ``(R,)`` arrays from the same named streams an :class:`AerialChannel`
     would use, so a batch of one replica is bit-identical to the scalar
     channel for the same :class:`~repro.sim.random.RandomStreams` seed.
+    With :class:`~repro.sim.random.SegmentedStreams` each block of
+    replicas draws from its own registry, and the batch equals those
+    blocks run as separate batches.
 
     The mean (large-scale) SNR is a pure function of ``(distance,
     speed)`` and is evaluated through the scalar
@@ -208,7 +211,7 @@ class BatchAerialChannel:
         self,
         profile: ChannelProfile,
         n_replicas: int,
-        streams: Optional[RandomStreams] = None,
+        streams: "RandomStreams | SegmentedStreams | None" = None,
         stream_name: str = "channel",
     ) -> None:
         if n_replicas < 1:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..sim.random import SegmentedGenerator
+
 __all__ = [
     "ShadowingConfig",
     "GaussMarkovShadowing",
@@ -158,30 +160,31 @@ class GaussMarkovShadowing:
 class BatchGaussMarkovShadowing:
     """R independent Gauss-Markov shadowing replicas stepped in lockstep.
 
-    All replicas share one generator and draw ``(R,)`` arrays per step,
-    so a batch with ``n_replicas == 1`` consumes the stream exactly as
-    the scalar :class:`GaussMarkovShadowing` does and reproduces it bit
-    for bit.  Dropout epochs are redrawn per replica only when that
-    replica's fading clock has decorrelated — masked draws keep the
-    stream consumption identical in the R = 1 case.
+    All replicas share one generator (or one per segment of a
+    :class:`~repro.sim.random.SegmentedGenerator`) and draw ``(R,)``
+    arrays per step, so a batch with ``n_replicas == 1`` consumes the
+    stream exactly as the scalar :class:`GaussMarkovShadowing` does and
+    reproduces it bit for bit.  Dropout epochs are redrawn per replica
+    only when that replica's fading clock has decorrelated — masked
+    draws keep the stream consumption identical in the R = 1 case.
     """
 
     def __init__(
         self,
         config: ShadowingConfig,
-        rng: np.random.Generator,
+        rng: "np.random.Generator | SegmentedGenerator",
         n_replicas: int,
     ) -> None:
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
         self._config = config
         self.n_replicas = n_replicas
-        self._rng = rng
+        self._rng = rng = SegmentedGenerator.of(rng, n_replicas)
         if config.sigma_db:
-            self._value = rng.normal(0.0, config.sigma_db, size=n_replicas)
+            self._value = rng.normal(0.0, config.sigma_db)
         else:
             self._value = np.zeros(n_replicas)
-        self._in_dropout = rng.random(size=n_replicas) < config.dropout_probability
+        self._in_dropout = rng.random() < config.dropout_probability
         self._last_time: "np.ndarray | None" = None
         self._epoch_elapsed = np.zeros(n_replicas)
 
@@ -217,15 +220,14 @@ class BatchGaussMarkovShadowing:
                     np.maximum(0.0, 1.0 - alpha * alpha)
                 )
                 self._value = alpha * self._value + self._rng.normal(
-                    0.0, 1.0, size=self.n_replicas
+                    0.0, 1.0
                 ) * drive
             self._epoch_elapsed += dt
             expired = self._epoch_elapsed >= cfg.coherence_time_s
-            n_expired = int(np.count_nonzero(expired))
-            if n_expired:
+            if expired.any():
                 self._epoch_elapsed[expired] = 0.0
                 self._in_dropout[expired] = (
-                    self._rng.random(size=n_expired) < cfg.dropout_probability
+                    self._rng.random(mask=expired) < cfg.dropout_probability
                 )
         self._last_time = now
         return np.where(
@@ -308,7 +310,7 @@ class RicianFading:
 
 
 class BatchRicianFading:
-    """R lockstep Rician fading replicas sharing one generator.
+    """R lockstep Rician fading replicas sharing one (segmented) generator.
 
     Mirrors :class:`RicianFading` draw for draw: each step consumes one
     standard normal per replica for the in-phase component and one for
@@ -318,7 +320,7 @@ class BatchRicianFading:
 
     def __init__(
         self,
-        rng: np.random.Generator,
+        rng: "np.random.Generator | SegmentedGenerator",
         n_replicas: int,
         k_factor_hover_db: float = 12.0,
         k_factor_floor_db: float = 0.0,
@@ -328,7 +330,7 @@ class BatchRicianFading:
             raise ValueError("n_replicas must be >= 1")
         if speed_scale_mps <= 0:
             raise ValueError("speed_scale_mps must be positive")
-        self._rng = rng
+        self._rng = SegmentedGenerator.of(rng, n_replicas)
         self.n_replicas = n_replicas
         self._k_hover_db = k_factor_hover_db
         self._k_floor_db = k_factor_floor_db
@@ -366,8 +368,8 @@ class BatchRicianFading:
         """One fading realisation (dB) per replica, unit mean power."""
         nu, scale = self._envelope(relative_speed_mps)
         # Same composition as Generator.normal(loc, scale): loc+scale*z.
-        x = nu + scale * self._rng.normal(0.0, 1.0, size=self.n_replicas)
-        y = scale * self._rng.normal(0.0, 1.0, size=self.n_replicas)
+        x = nu + scale * self._rng.normal(0.0, 1.0)
+        y = scale * self._rng.normal(0.0, 1.0)
         power = x * x + y * y
         return 10.0 * np.log10(np.maximum(power, 1e-12))
 

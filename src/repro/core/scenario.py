@@ -15,6 +15,7 @@ a scenario: one base plus a float64 column of values.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -66,6 +67,16 @@ class Scenario:
             raise ValueError("failure rate must be non-negative")
         if self.contact_distance_m < self.min_distance_m:
             raise ValueError("contact distance below the safety floor")
+        bits = self.data_bits_override
+        require_finite(
+            (
+                self.min_distance_m,
+                self.contact_distance_m,
+                self.cruise_speed_mps,
+                1.0 if bits is None else bits,
+                self.failure_rate_per_m,
+            )
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -193,6 +204,19 @@ def _key_attr(name: str) -> str:
 _key_values = attrgetter(*map(_key_attr, Scenario.KEY_FIELDS))
 
 
+def require_finite(values: Sequence[float]) -> None:
+    """Raise for the first non-finite of the :attr:`Scenario.KEY_FIELDS`
+    ``values`` (given in key order), naming its field."""
+    try:
+        if all(map(math.isfinite, values)):
+            return
+    except TypeError:  # a one-element array value: NumPy decides
+        pass
+    for name, value in zip(Scenario.KEY_FIELDS, values):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{_key_attr(name)} must be finite, got {value}")
+
+
 class ScenarioSweep:
     """One scenario with one key field swept over a float64 column.
 
@@ -205,9 +229,9 @@ class ScenarioSweep:
     ``base.with_(**{self.field: float(self.values[i])})``, built on
     demand by indexing or iterating.
 
-    ``Scenario.__post_init__``'s checks run as one mask over the column
-    when the container is built; the first offending value raises the
-    error its ``with_`` copy would.
+    ``Scenario.__post_init__``'s checks, finiteness included, run as one
+    mask over the column when the container is built; the first
+    offending value raises the error its ``with_`` copy would.
     """
 
     __slots__ = ("base", "field", "values")
@@ -228,18 +252,25 @@ class ScenarioSweep:
         if column.ndim != 1:
             raise ValueError("sweep values must be one-dimensional")
         if field == "mdata_mb":
-            bad = column <= 0
+            with np.errstate(over="ignore"):  # inf is flagged below
+                bits = column * 8e6
+            bad = (column <= 0) | ~np.isfinite(bits)
             if bad.any():
                 # The first offending value raises ``with_``'s error.
                 base.with_(mdata_mb=float(column[np.argmax(bad)]))
-            column = column * 8e6
+            column = bits
         self.base = base
         self.field = name
         self.values = column
         speed = self.column("cruise_speed_mps")
         rho = self.column("failure_rate_per_m")
         d0 = self.column("contact_distance_m")
-        bad = (speed <= 0) | (rho < 0) | (d0 < self.column("min_distance_m"))
+        bad = (
+            (speed <= 0)
+            | (rho < 0)
+            | (d0 < self.column("min_distance_m"))
+            | ~np.isfinite(column)  # the base's own fields are finite
+        )
         if bad.any():
             # Building the first offending row raises its error.
             self[int(np.argmax(bad))]

@@ -56,7 +56,7 @@ from typing import (
 import numpy as np
 
 from ..core.optimizer import OptimalDecision, argmax_utility
-from ..core.scenario import ScenarioSweep, sweep_rows
+from ..core.scenario import ScenarioSweep, require_finite, sweep_rows
 from ..core.throughput import (
     LogFitThroughput,
     MIN_THROUGHPUT_BPS,
@@ -201,7 +201,14 @@ class _Params:
 
     def validate(self) -> None:
         """Raise the Eq. 2 constraint error of the first offending row."""
-        bad = (self.v <= 0) | (self.bits <= 0) | (self.d0 < self.dmin)
+        bad = (
+            (self.v <= 0)
+            | (self.bits <= 0)
+            | (self.d0 < self.dmin)
+            | ~np.isfinite((self.dmin, self.d0, self.v, self.bits, self.rho)).all(
+                axis=0
+            )
+        )
         if bad.any():
             _check_scenario(self.scenarios[int(np.argmax(bad))])
 
@@ -555,6 +562,15 @@ def _check_scenario(s: "Scenario") -> None:
             f"contact distance {s.contact_distance_m} below the "
             f"floor {s.min_distance_m}"
         )
+    require_finite(
+        (
+            s.min_distance_m,
+            s.contact_distance_m,
+            s.cruise_speed_mps,
+            s.data_bits,
+            s.failure_rate_per_m,
+        )
+    )
 
 
 _DEFAULT_ENGINE: Optional[BatchSolverEngine] = None

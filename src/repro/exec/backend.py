@@ -125,6 +125,19 @@ class ExecBackend:
         """The resolved process-pool width."""
         return resolve_workers(self.max_workers)
 
+    def lanes(self, parallel: Optional[bool] = None) -> int:
+        """How many tasks a ``map`` with this ``parallel`` runs at once.
+
+        1 where ``map`` runs in-process (``parallel=False``,
+        ``configure(serial=True)``, a pool that could not start),
+        else the pool width.  Callers that pack work into tasks size
+        their task count by it.
+        """
+        self._fork_guard()
+        if parallel is False or _state().force_serial or self._pool_unavailable:
+            return 1
+        return self.workers
+
     def _fork_guard(self) -> None:
         """Drop pools inherited through ``fork`` — they belong to the
         parent process and must be neither used nor shut down here."""

@@ -5,18 +5,20 @@ The scalar campaigns (:mod:`repro.measurements.campaign`,
 by running many independent *replicas* of an iperf session — a Python
 loop over epochs per replica.  :func:`run_campaign` replaces that with
 the replica-batched engine: one
-:class:`~repro.net.batchlink.BatchWirelessLink` steps a whole block of
-replicas per epoch in lockstep NumPy, and blocks are dispatched to the
-persistent process pool owned by :mod:`repro.exec` (*processes*
-because the epoch loop itself is Python; the batch solver's chunk
-fan-out uses the same backend's threads).
+:class:`~repro.net.batchlink.BatchWirelessLink` steps a whole group of
+replica blocks (shards) per epoch in lockstep NumPy, one group per
+worker of the persistent process pool owned by :mod:`repro.exec`
+(*processes* because the epoch loop itself is Python; the batch
+solver's chunk fan-out uses the same backend's threads).  Each shard
+keeps its own random streams inside the group, so results do not
+depend on the grouping.
 
 Everything a worker needs travels in a picklable
 :class:`BatchCampaignConfig` — profiles and controllers are named by
 spec strings, never by object reference.  With ``obs=`` each worker
-fills a deterministic :class:`~repro.obs.ObsContext` (a span per shard,
+fills a deterministic :class:`~repro.obs.ObsContext` per shard (a span,
 ``campaign.*`` counts, the channel memo and injected-outage counters)
-and the parent merges them.  Per-shard sample blocks ride home as
+and the parent merges them.  A group's sample blocks ride home as one
 :class:`~repro.exec.ArrayPayload` structure-of-arrays — large NumPy
 results cross the process boundary through shared memory, not pickle.
 
@@ -49,7 +51,7 @@ from ..obs import ObsContext
 from ..perf import wall_clock
 from ..phy.rate_control import batch_controller, scalar_controller
 from ..sim.monitor import SummaryStats
-from ..sim.random import RandomStreams
+from ..sim.random import RandomStreams, SegmentedStreams
 
 __all__ = [
     "BatchCampaignConfig",
@@ -64,6 +66,14 @@ _PROFILES = {
     "quadrocopter": quadrocopter_profile,
     "indoor": indoor_profile,
 }
+
+
+#: ``(shard index, per-replica distances)``: one determinism unit.
+Shard = Tuple[int, Tuple[float, ...]]
+#: A shard's ``(samples, obs, meta)``, live or restored from the store.
+ShardOutput = Tuple[
+    Dict[float, List[float]], Optional[ObsContext], Dict[str, object]
+]
 
 
 def profile_by_name(name: str) -> ChannelProfile:
@@ -95,10 +105,14 @@ class BatchCampaignConfig:
     relative_speed_mps: float = 0.0
     report_interval_s: float = 1.0
     epoch_s: float = 0.02
-    #: (distance, replica) cases per process-pool task.  One shard is
-    #: one :class:`BatchWirelessLink` whose replicas may sit at
-    #: *different* distances (a per-replica distance array), so NumPy
-    #: overhead amortises over the whole block rather than per distance.
+    #: (distance, replica) cases per shard.  A shard is the unit of
+    #: determinism and caching: it owns its random streams (forked on
+    #: the shard index) and one result-store entry.  Its replicas may
+    #: sit at *different* distances (a per-replica distance array).
+    #: Each process-pool task steps a contiguous group of shards as one
+    #: :class:`BatchWirelessLink`, one group per worker, so the
+    #: per-step NumPy overhead amortises over the whole group; the
+    #: grouping never changes a value.
     block_size: int = 192
     #: Poisson arrival rate of injected link outages per replica
     #: (0 = fault-free; the campaign is then byte-identical to pre-fault
@@ -129,7 +143,7 @@ class BatchCampaignConfig:
         """Whether this campaign injects link outages."""
         return self.outage_rate_per_s > 0
 
-    def shards(self) -> List[Tuple[int, Tuple[float, ...]]]:
+    def shards(self) -> List[Shard]:
         """(shard_index, per-replica distances) task list.
 
         The flattened (distance, replica) case list is cut into blocks
@@ -207,24 +221,30 @@ def _replica_fault_plan(config: BatchCampaignConfig, g: int) -> FaultPlan:
     )
 
 
-def _shard_outages(
-    config: BatchCampaignConfig, shard: int, n_replicas: int
+def _group_outages(
+    config: BatchCampaignConfig, group: Sequence[Shard]
 ) -> Optional[BatchOutageSchedule]:
-    """Per-replica outage schedules for one shard (None = fault-free)."""
+    """Per-replica outage schedules for a shard group (None = fault-free).
+
+    Each replica's windows come from its global index, so a group's
+    schedule is its shards' schedules end to end.
+    """
     if not config.faults_enabled:
         return None
-    first_g = shard * config.block_size
     return BatchOutageSchedule(
         [
-            _replica_fault_plan(config, first_g + offset).outage_windows_s()
-            for offset in range(n_replicas)
+            _replica_fault_plan(
+                config, shard * config.block_size + offset
+            ).outage_windows_s()
+            for shard, distances in group
+            for offset in range(len(distances))
         ]
     )
 
 
 def _shard_obs(
     shard: int,
-    samples: Dict[float, List[float]],
+    samples: Dict[float, Sequence[float]],
     steps: int,
     n_replicas: int,
     sim_end_s: float,
@@ -254,30 +274,39 @@ def _shard_obs(
     return obs
 
 
-def _run_replica_block(
+def _run_shard_group(
     config: BatchCampaignConfig,
-    shard: int,
-    distances_m: Tuple[float, ...],
+    group: Sequence[Shard],
     collect_obs: bool = False,
-) -> Tuple[
-    Dict[float, List[float]], Optional[ObsContext], Dict[str, object]
-]:
-    """One pool task: a block of replicas stepped in one batched link.
+) -> List[Tuple[Dict[float, np.ndarray], Optional[ObsContext], dict]]:
+    """A group of shards stepped as one batched link.
 
-    ``distances_m`` holds one entry per replica — replicas of different
-    distances ride in the same batch.  Top-level (picklable) so it can
-    cross a process boundary; also the sequential fallback path.
+    The group's replicas (each shard's ``distances_m`` in shard order,
+    one entry per replica, distances mixed) share one
+    :class:`BatchWirelessLink`, so the per-step fixed cost is paid once
+    per group, not per shard.  Each shard still draws from its own
+    streams through :class:`~repro.sim.random.SegmentedStreams`, and
+    each replica's outages key on its global index, so every shard's
+    output is the one it gives as a group of one: grouping never
+    shapes results.  Top-level (picklable) so it can cross a process
+    boundary; also the sequential path.
 
-    ``collect_obs`` makes the worker fill a *deterministic* obs context
-    (span per shard, ``campaign.*`` metrics) shipped back to the parent
-    for merging — deterministic so the merged summary is invariant to
-    worker count and pool completion order.  The trailing meta dict
-    (``steps``, ``sim_end_s``, ``counters``) is what the persistent
-    store needs to replay the shard's observability without re-running
-    it.
+    Returns one ``(samples, obs, meta)`` per shard, in group order,
+    each distance's readings a float64 array (the wire form
+    :func:`_run_group_task` ships).  ``collect_obs`` makes each shard
+    fill a *deterministic* obs context
+    (span per shard, ``campaign.*`` metrics) shipped back to the
+    parent for merging — deterministic so the merged summary is
+    invariant to worker count and pool completion order.  The meta
+    dict (``steps``, ``sim_end_s``, ``counters``) is what the
+    persistent store needs to replay the shard's observability without
+    re-running it.
     """
-    n_replicas = len(distances_m)
-    streams = _shard_streams(config, shard)
+    sizes = [len(distances) for _, distances in group]
+    n_replicas = sum(sizes)
+    streams = SegmentedStreams(
+        [_shard_streams(config, shard) for shard, _ in group], sizes
+    )
     channel = BatchAerialChannel(
         profile_by_name(config.profile), n_replicas, streams
     )
@@ -286,9 +315,11 @@ def _run_replica_block(
         batch_controller(config.controller, n_replicas),
         streams=streams,
         epoch_s=config.epoch_s,
-        outage=_shard_outages(config, shard, n_replicas),
+        outage=_group_outages(config, group),
     )
-    distance_arr = np.asarray(distances_m, dtype=float)
+    distance_arr = np.array(
+        [d for _, distances in group for d in distances], dtype=float
+    )
     interval = config.report_interval_s
     now = 0.0
     end = config.duration_s
@@ -309,82 +340,111 @@ def _run_replica_block(
             rows.append(interval_bytes * 8.0 / interval)
             interval_bytes = np.zeros(n_replicas, dtype=np.int64)
             next_report += interval
-    samples: Dict[float, List[float]] = {}
-    if rows:
-        matrix = np.stack(rows)  # (n_intervals, n_replicas)
-        for distance in dict.fromkeys(distances_m):  # unique, ordered
-            mask = distance_arr == distance
-            samples[distance] = matrix[:, mask].ravel().tolist()
-    counters = {
-        "channel.mean_cache_hits": channel.mean_cache_hits,
-        "channel.mean_cache_misses": channel.mean_cache_misses,
-    }
-    if config.faults_enabled:
-        counters["faults.outage_replica_epochs"] = link.outage_replica_epochs
-    obs = (
-        _shard_obs(shard, samples, steps, n_replicas, now, counters)
-        if collect_obs
-        else None
-    )
-    return samples, obs, {
-        "steps": steps, "sim_end_s": now, "counters": counters
-    }
+    matrix = np.stack(rows) if rows else None  # (n_intervals, n_replicas)
+    outputs = []
+    start = 0
+    for (shard, distances), size in zip(group, sizes):
+        stop = start + size
+        samples: Dict[float, np.ndarray] = {}
+        if matrix is not None:
+            block = matrix[:, start:stop]
+            block_distances = distance_arr[start:stop]
+            for distance in dict.fromkeys(distances):  # unique, ordered
+                samples[distance] = block[:, block_distances == distance].ravel()
+        # Distance and speed are fixed for the run, so the mean-SNR memo
+        # misses on the first lookup and hits on every later one; a
+        # shard alone makes the same lookups, hence the group's counts.
+        counters = {
+            "channel.mean_cache_hits": channel.mean_cache_hits,
+            "channel.mean_cache_misses": channel.mean_cache_misses,
+        }
+        if config.faults_enabled:
+            counters["faults.outage_replica_epochs"] = int(
+                link.outage_epochs[start:stop].sum()
+            )
+        obs = (
+            _shard_obs(shard, samples, steps, size, now, counters)
+            if collect_obs
+            else None
+        )
+        meta = {"steps": steps, "sim_end_s": now, "counters": counters}
+        outputs.append((samples, obs, meta))
+        start = stop
+    return outputs
 
 
-def _run_block_task(
-    args: Tuple,
-) -> Tuple[
-    Dict[float, List[float]], Optional[ObsContext], Dict[str, object]
-]:
-    """Unpack helper for backend ``map`` over shard tuples."""
-    config, shard, distances_m, collect_obs = args
-    return _run_replica_block(config, shard, distances_m, collect_obs)
+def _run_group_task(args: Tuple) -> ArrayPayload:
+    """Pool task: one shard group, its samples as a structure-of-arrays.
 
-
-def _run_block_task_exec(args: Tuple) -> ArrayPayload:
-    """Pool-task wrapper: sample blocks as a structure-of-arrays.
-
-    The per-distance reading lists are flattened into three arrays
-    (``distances`` / ``lengths`` / ``values``) so the bulk of a
-    shard's output can ride the execution backend's shared-memory
-    transport; the obs context and replay meta stay in the
-    (small) pickled ``meta`` side.  :func:`_decode_block_output`
+    Every shard's per-distance reading lists are flattened into three
+    arrays (``distances`` / ``lengths`` / ``values``), with
+    ``shard_keys`` holding how many distances each shard has, so the
+    bulk of a group's output can ride the execution backend's
+    shared-memory transport; the obs contexts and replay metas stay in
+    the (small) pickled ``meta`` side.  :func:`_decode_group_output`
     inverts this exactly — float64 in, float64 out — which keeps
     serial and pooled campaigns bit-identical.
     """
-    samples, obs, meta = _run_block_task(args)
-    keys = list(samples)
-    values = (
-        np.concatenate(
-            [np.asarray(samples[key], dtype=float) for key in keys]
-        )
-        if keys
-        else np.zeros(0, dtype=float)
-    )
+    config, group, collect_obs = args
+    outputs = _run_shard_group(config, group, collect_obs)
+    keys = [key for samples, _, _ in outputs for key in samples]
+    readings = [
+        values for samples, _, _ in outputs for values in samples.values()
+    ]
     return ArrayPayload(
         arrays={
-            "distances": np.asarray(keys, dtype=float),
-            "lengths": np.asarray(
-                [len(samples[key]) for key in keys], dtype=np.int64
+            "shard_keys": np.asarray(
+                [len(samples) for samples, _, _ in outputs], dtype=np.int64
             ),
-            "values": values,
+            "distances": np.asarray(keys, dtype=float),
+            "lengths": np.asarray([len(r) for r in readings], dtype=np.int64),
+            "values": (
+                np.concatenate(readings) if readings else np.zeros(0, dtype=float)
+            ),
         },
-        meta=(obs, meta),
+        meta=[(obs, meta) for _, obs, meta in outputs],
     )
 
 
-def _decode_block_output(payload: ArrayPayload) -> Tuple:
-    """Rebuild the worker 3-tuple from its wire payload."""
-    obs, meta = payload.meta
+def _decode_group_output(payload: ArrayPayload) -> List[ShardOutput]:
+    """Rebuild a group's per-shard outputs from its wire payload."""
     distances = payload.arrays["distances"].tolist()
     lengths = payload.arrays["lengths"].tolist()
     values = payload.arrays["values"]
-    samples: Dict[float, List[float]] = {}
-    pos = 0
-    for distance, n in zip(distances, lengths):
-        samples[distance] = values[pos:pos + n].tolist()
-        pos += n
-    return samples, obs, meta
+    outputs: List[ShardOutput] = []
+    key = pos = 0
+    for n_keys, (obs, meta) in zip(
+        payload.arrays["shard_keys"].tolist(), payload.meta
+    ):
+        samples: Dict[float, List[float]] = {}
+        for distance, n in zip(
+            distances[key:key + n_keys], lengths[key:key + n_keys]
+        ):
+            samples[distance] = values[pos:pos + n].tolist()
+            pos += n
+        key += n_keys
+        outputs.append((samples, obs, meta))
+    return outputs
+
+
+def _group_shards(
+    shards: Sequence[Shard], n_groups: int
+) -> List[List[Shard]]:
+    """``shards`` cut into ``n_groups`` contiguous, replica-balanced groups.
+
+    Group ``g`` ends at the shard boundary nearest to ``(g + 1) / n``
+    of the replicas, every group keeping at least one shard.
+    """
+    n = min(len(shards), n_groups)
+    if n <= 1:
+        return [list(shards)] if shards else []
+    cumulative = np.cumsum([len(distances) for _, distances in shards])
+    cuts = [0]
+    for g in range(1, n):
+        nearest = int(np.argmin(np.abs(cumulative - cumulative[-1] * g / n)))
+        cuts.append(min(max(nearest + 1, cuts[-1] + 1), len(shards) - n + g))
+    cuts.append(len(shards))
+    return [list(shards[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +492,7 @@ def _restore_shard(
     distances_m: Tuple[float, ...],
     body: Optional[dict],
     collect_obs: bool,
-) -> Optional[Tuple]:
+) -> Optional[ShardOutput]:
     """Rehydrate one shard's worker output from a store entry.
 
     Returns the same 3-tuple a live worker produces (samples in the
@@ -481,13 +541,15 @@ def run_campaign(
     """Run the campaign on the replica-batched engine.
 
     Shards are dispatched through the persistent
-    :mod:`repro.exec` backend: ``parallel=None`` auto-enables the
-    process pool when there are several shards and more than one
-    worker; ``True``/``False`` force it; ``max_workers`` pins the pool
-    width (``repro.exec.backend_for`` keeps one warm pool per width).
-    If the pool cannot be started (restricted environments), the
-    backend degrades to the sequential path and still returns full
-    results.
+    :mod:`repro.exec` backend, packed into one contiguous group per
+    lane (``ExecBackend.lanes``: the pool width, or 1 on the serial
+    path), each group stepped as one batched link: ``parallel=None``
+    auto-enables the process pool when there are several shards and
+    more than one worker; ``True``/``False`` force it; ``max_workers``
+    pins the pool width (``repro.exec.backend_for`` keeps one warm pool
+    per width).  If the pool cannot be started (restricted
+    environments), the backend degrades to the sequential path and
+    still returns full results.
 
     ``obs`` collects per-shard spans and ``campaign.*`` metrics: each
     worker fills a deterministic context, the parent merges them all
@@ -504,7 +566,7 @@ def run_campaign(
     store = resolve_store(cache)
     shards = config.shards()
     collect = obs is not None
-    restored: Dict[int, Tuple] = {}
+    restored: Dict[int, ShardOutput] = {}
     before = store.snapshot_counters() if store is not None else {}
     keys: Dict[int, str] = {}
     if store is not None:
@@ -527,21 +589,20 @@ def run_campaign(
     if obs is not None and obs.tracer is not None:
         run_span = obs.tracer.span("campaign.run", sim_start_s=0.0)
         run_span.__enter__()
-    tasks = [
-        (config, shard, distances, collect)
-        for shard, distances in shards
-        if shard not in restored
-    ]
+    pending = [shard for shard in shards if shard[0] not in restored]
+    backend = backend_for(max_workers)
+    groups = _group_shards(pending, backend.lanes(parallel))
+    live: Dict[int, ShardOutput] = {}
     try:
-        live = [
-            _decode_block_output(payload)
-            for payload in backend_for(max_workers).map(
-                _run_block_task_exec,
-                tasks,
-                parallel=parallel,
-                family="campaign.shard",
-            )
-        ]
+        payloads = backend.map(
+            _run_group_task,
+            [(config, group, collect) for group in groups],
+            parallel=parallel,
+            family="campaign.group",
+        )
+        for group, payload in zip(groups, payloads):
+            for (shard, _), out in zip(group, _decode_group_output(payload)):
+                live[shard] = out
     finally:
         if run_span is not None:
             run_span.annotate(shards=len(shards))
@@ -550,15 +611,13 @@ def run_campaign(
     if store is not None and live:
         store.put_many(
             {
-                keys[task[1]]: _shard_store_body(out[0], out[2])
-                for task, out in zip(tasks, live)
+                keys[shard]: _shard_store_body(out[0], out[2])
+                for shard, out in live.items()
             }
         )
 
     # Merge in shard order regardless of which side produced the output.
-    by_shard = dict(restored)
-    for task, out in zip(tasks, live):
-        by_shard[task[1]] = out
+    by_shard = {**restored, **live}
     outputs = [by_shard[shard] for shard, _ in shards]
     samples: Dict[float, List[float]] = {}
     for shard_samples, _, _ in outputs:

@@ -14,7 +14,10 @@ batched engine consumes the random streams exactly as the scalar
 engine does and reproduces its :class:`LinkStepResult` series bit for
 bit (see ``tests/net/test_batchlink.py``).  With R > 1 the replicas
 share one stream per subsystem, drawing ``(R,)`` blocks per epoch —
-statistically equivalent to R independently seeded scalar runs.
+statistically equivalent to R independently seeded scalar runs.  On
+:class:`~repro.sim.random.SegmentedStreams` several replica blocks,
+each with its own registry, step as one batch and each block's values
+equal its run as a batch of its own.
 
 Per-MCS quantities that the scalar engine recomputes per epoch (PHY
 rate, aggregate size after host starvation, burst airtime) are pure
@@ -38,7 +41,7 @@ from ..phy.error import ErrorModel
 from ..phy.mcs import MCS_TABLE
 from ..phy.phy80211n import PhyConfig
 from ..phy.rate_control import BatchRateController
-from ..sim.random import RandomStreams
+from ..sim.random import RandomStreams, SegmentedGenerator, SegmentedStreams
 from .link import LinkStepResult
 
 __all__ = ["BatchLinkStepResult", "BatchWirelessLink"]
@@ -90,7 +93,7 @@ class BatchWirelessLink:
         error_model: Optional[ErrorModel] = None,
         phy: PhyConfig = PhyConfig(),
         ampdu: Optional[AmpduConfig] = None,
-        streams: Optional[RandomStreams] = None,
+        streams: "RandomStreams | SegmentedStreams | None" = None,
         epoch_s: float = 0.02,
         stream_name: str = "link",
         outage: Optional[BatchOutageSchedule] = None,
@@ -109,7 +112,9 @@ class BatchWirelessLink:
         self.phy = phy
         self._mac = AmpduLink(ampdu if ampdu is not None else AmpduConfig(), phy)
         streams = streams if streams is not None else RandomStreams(seed=0)
-        self._rng = streams.get(f"{stream_name}.delivery")
+        self._rng = SegmentedGenerator.of(
+            streams.get(f"{stream_name}.delivery"), self.n_replicas
+        )
         self.epoch_s = epoch_s
         if outage is not None:
             if outage.n_replicas != self.n_replicas:
@@ -122,8 +127,8 @@ class BatchWirelessLink:
             if outage.is_empty:
                 outage = None
         self._outage = outage
-        #: Replica-epochs spent blacked out by injected outages so far.
-        self.outage_replica_epochs = 0
+        #: Per-replica epochs spent blacked out by injected outages.
+        self.outage_epochs = np.zeros(self.n_replicas, dtype=np.int64)
         self._oracle_hints = hasattr(controller, "expected_goodput_bps")
         # Per-MCS lookup tables built with the scalar MAC/PHY code, so
         # batched epochs charge exactly the scalar airtimes.
@@ -159,6 +164,11 @@ class BatchWirelessLink:
     def outage(self) -> Optional[BatchOutageSchedule]:
         """The per-replica blackout windows (``None``: fault-free)."""
         return self._outage
+
+    @property
+    def outage_replica_epochs(self) -> int:
+        """Replica-epochs spent blacked out by injected outages so far."""
+        return int(self.outage_epochs.sum())
 
     def is_blacked_out(self, now_s: float) -> np.ndarray:
         """Per-replica injected-outage mask at ``now_s``."""
@@ -216,7 +226,7 @@ class BatchWirelessLink:
         if self.outage is not None:
             out = self.outage.is_out(now_s)
             if out.any():
-                self.outage_replica_epochs += int(out.sum())
+                self.outage_epochs += out
             else:
                 out = None
         sending = active
@@ -242,7 +252,7 @@ class BatchWirelessLink:
             delivered = np.zeros(self.n_replicas, dtype=np.int64)
             if sending.any():
                 delivered[sending] = self._rng.binomial(
-                    total_sub[sending], p[sending]
+                    total_sub, p, mask=sending
                 )
         payload = delivered * self._app_payload_bytes
         if backlog is not None:

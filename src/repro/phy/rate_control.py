@@ -105,6 +105,10 @@ class BestMcsOracle:
         )
         if not self._candidates:
             raise ValueError("candidate set must not be empty")
+        # Candidate column and its PHY rates, for the one-call scoring
+        # in select().
+        self._candidate_column = np.asarray(self._candidates, dtype=np.int64)
+        self._rates = np.array([phy.data_rate_bps(i) for i in self._candidates])
         self._subframe_bytes = subframe_bytes
         self._last_choice = self._candidates[0]
         # The hint behind _last_choice (None: no hint yet).
@@ -128,14 +132,17 @@ class BestMcsOracle:
 
         The choice is a pure function of the hint (the mean SNR, which a
         hovering link holds fixed), so it is recomputed only when the
-        hint value changes.
+        hint value changes.  All candidates are scored in one
+        :meth:`ErrorModel.success_probability_array` call, elementwise
+        equal to :meth:`expected_goodput_bps`; ``argmax`` keeps the
+        first maximum, as ``max`` over the candidates would.
         """
         if snr_hint_db is None or snr_hint_db == self._last_hint:
             return self._last_choice
-        best = max(
-            self._candidates,
-            key=lambda idx: self.expected_goodput_bps(snr_hint_db, idx),
+        goodput = self._rates * self._error_model.success_probability_array(
+            snr_hint_db, self._candidate_column, self._subframe_bytes
         )
+        best = self._candidates[int(np.argmax(goodput))]
         self._last_choice = best
         self._last_hint = snr_hint_db
         return best

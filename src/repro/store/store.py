@@ -213,20 +213,24 @@ class ResultStore:
         return index if index is not None else self._rebuild_index()
 
     def _read_index(self) -> Optional[Dict[str, object]]:
-        """The on-disk index, or ``None`` if it is missing or damaged."""
+        """The on-disk index, or ``None`` if it is missing or damaged.
+
+        Damaged means unreadable JSON, or any other shape than the one
+        :meth:`_save_index` writes: the current version, an int clock,
+        and an entries dict of ``{"size": int, "tick": int}`` dicts.
+        A damaged index counts as one corrupt read.
+        """
         try:
             with open(self.index_path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            if (
-                isinstance(payload, dict)
-                and payload.get("version") == _INDEX_VERSION
-                and isinstance(payload.get("entries"), dict)
-            ):
-                return payload
         except FileNotFoundError:
-            pass
+            return None
         except (OSError, json.JSONDecodeError, ValueError):
             self._count("corrupt")
+            return None
+        if _index_shape_ok(payload):
+            return payload
+        self._count("corrupt")
         return None
 
     def _rebuild_index(self) -> Dict[str, object]:
@@ -319,7 +323,7 @@ class ResultStore:
             with FileLock(self.lock_path):
                 index = self._load_index()
                 entries: Dict[str, Dict[str, int]] = index["entries"]  # type: ignore[assignment]
-                tick = int(index.get("tick", 0)) + 1
+                tick = index["tick"] + 1  # type: ignore[operator]
                 index["tick"] = tick
                 entries[key] = {"size": len(document), "tick": tick}
                 self._evict_locked(index)
@@ -361,7 +365,7 @@ class ResultStore:
             with FileLock(self.lock_path):
                 index = self._load_index()
                 entries: Dict[str, Dict[str, int]] = index["entries"]  # type: ignore[assignment]
-                tick = int(index.get("tick", 0))
+                tick: int = index["tick"]  # type: ignore[assignment]
                 for key, size in written.items():
                     tick += 1
                     entries[key] = {"size": size, "tick": tick}
@@ -391,7 +395,7 @@ class ResultStore:
                 elif _already_newest(index, keys):
                     return
                 entries: Dict[str, Dict[str, int]] = index["entries"]  # type: ignore[assignment]
-                tick = int(index.get("tick", 0))
+                tick: int = index["tick"]  # type: ignore[assignment]
                 dirty = False
                 for key in keys:
                     if key in entries:
@@ -422,13 +426,11 @@ class ResultStore:
     def _evict_locked(self, index: Dict[str, object]) -> int:
         """Evict oldest-tick entries until under the cap (lock held)."""
         entries: Dict[str, Dict[str, int]] = index["entries"]  # type: ignore[assignment]
-        total = sum(int(e.get("size", 0)) for e in entries.values())
+        total = sum(e["size"] for e in entries.values())
         evicted = 0
         while total > self.max_bytes and entries:
-            victim = min(
-                entries, key=lambda k: (int(entries[k].get("tick", 0)), k)
-            )
-            total -= int(entries[victim].get("size", 0))
+            victim = min(entries, key=lambda k: (entries[k]["tick"], k))
+            total -= entries[victim]["size"]
             del entries[victim]
             try:
                 os.unlink(self._object_path(victim))
@@ -449,7 +451,7 @@ class ResultStore:
         return {
             "path": str(self.root),
             "entries": len(entries),
-            "total_bytes": sum(int(e.get("size", 0)) for e in entries.values()),
+            "total_bytes": sum(e["size"] for e in entries.values()),
             "max_bytes": self.max_bytes,
             "counters": self.snapshot_counters(),
         }
@@ -511,6 +513,23 @@ class ResultStore:
         return f"ResultStore({str(self.root)!r}, max_bytes={self.max_bytes})"
 
 
+def _index_shape_ok(payload: object) -> bool:
+    """Whether ``payload`` has the shape of a saved index document."""
+    if not (
+        isinstance(payload, dict)
+        and payload.get("version") == _INDEX_VERSION
+        and type(payload.get("tick")) is int
+        and isinstance(payload.get("entries"), dict)
+    ):
+        return False
+    return all(
+        type(entry) is dict
+        and type(entry.get("size")) is int
+        and type(entry.get("tick")) is int
+        for entry in payload["entries"].values()
+    )
+
+
 def _already_newest(index: Dict[str, object], keys) -> bool:
     """Whether refreshing ``keys`` would leave ``index``'s LRU order as is.
 
@@ -522,16 +541,12 @@ def _already_newest(index: Dict[str, object], keys) -> bool:
     entries: Dict[str, Dict[str, int]] = index["entries"]  # type: ignore[assignment]
     order = list(dict.fromkeys(k for k in reversed(keys) if k in entries))
     order.reverse()
-    try:
-        low = int(index.get("tick", 0)) - len(order) + 1
-        return all(
-            int(entries[key].get("tick", 0)) == low + i
-            for i, key in enumerate(order)
-        ) and len(order) == sum(
-            1 for entry in entries.values() if int(entry.get("tick", 0)) >= low
-        )
-    except (AttributeError, TypeError, ValueError):
-        return False
+    low = index["tick"] - len(order) + 1  # type: ignore[operator]
+    return all(
+        entries[key]["tick"] == low + i for i, key in enumerate(order)
+    ) and len(order) == sum(
+        1 for entry in entries.values() if entry["tick"] >= low
+    )
 
 
 _DEFAULT_STORES: Dict[str, ResultStore] = {}

@@ -529,36 +529,38 @@ class TestValidationOrder:
             )
         assert engine.cache_info().currsize == 0
 
-    #: Which columns come out NaN when one field is NaN; no row raises.
-    NAN_COLUMNS = {
-        "contact_distance_m": [
-            "cdelay_s", "contact_distance_m", "discount", "distance_m",
-            "shipping_s", "transmission_s", "utility",
-        ],
-        "cruise_speed_mps": ["cdelay_s", "shipping_s", "speed_mps", "utility"],
-        "data_bits": ["cdelay_s", "data_bits", "transmission_s", "utility"],
-        "failure_rate_per_m": ["discount", "utility"],
-        "min_distance_m": [
-            "cdelay_s", "discount", "distance_m", "shipping_s",
-            "transmission_s", "utility",
-        ],
+    #: Attribute bypassed per field (``data_bits`` is the override).
+    ATTRS = {
+        "contact_distance_m": "contact_distance_m",
+        "cruise_speed_mps": "cruise_speed_mps",
+        "data_bits": "data_bits_override",
+        "failure_rate_per_m": "failure_rate_per_m",
+        "min_distance_m": "min_distance_m",
     }
 
-    @pytest.mark.parametrize("field", sorted(NAN_COLUMNS))
-    def test_nan_fields_pass_as_before(self, field):
-        scenario = airplane_scenario().with_(**{field: float("nan")})
-        with np.errstate(all="ignore"):
-            batch = fresh_engine().solve_batch([airplane_scenario(), scenario])
-            single = fresh_engine().solve(scenario)
-        row = batch[1]
-        nan_columns = sorted(
-            name for name in COLUMNS if np.isnan(getattr(row, name))
-        )
-        assert nan_columns == self.NAN_COLUMNS[field]
-        for name in COLUMNS:
-            assert np.array_equal(
-                getattr(row, name), getattr(single, name), equal_nan=True
-            )
+    @pytest.mark.parametrize("field", sorted(ATTRS))
+    def test_nan_fields_rejected(self, field):
+        # NaN passes every ordering check, so finiteness is what stops
+        # it: at construction, and in the engine for a row that got
+        # past construction.
+        with pytest.raises(ValueError, match=f"{field} must be finite, got nan"):
+            airplane_scenario().with_(**{field: float("nan")})
+        scenario = bypass(airplane_scenario(), **{self.ATTRS[field]: float("nan")})
+        engine = fresh_engine()
+        with pytest.raises(ValueError, match=f"{field} must be finite, got nan"):
+            engine.solve_batch([airplane_scenario(), scenario])
+        with pytest.raises(ValueError, match=f"{field} must be finite, got nan"):
+            engine.solve(scenario)
+        assert engine.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", sorted(ATTRS))
+    def test_infinite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            airplane_scenario().with_(**{field: value})
+        scenario = bypass(airplane_scenario(), **{self.ATTRS[field]: value})
+        with pytest.raises(ValueError):
+            fresh_engine().solve_batch([scenario])
 
 
 #: Sweep values per sweepable field and alias; value 3 repeats value 1.
@@ -746,6 +748,12 @@ SWEEP_ERRORS = {
     "mdata_not_positive": ("mdata_mb", [1.0, -3.0, 0.0], 1),
     "data_bits_zero_twice": ("data_bits", [1e6, 0.0, 2e6, 0.0], 1),
     "data_bits_not_positive": ("data_bits", [1e6, 2e6, -5.0, 0.0], 2),
+    "speed_infinite": ("speed_mps", [5.0, 7.0, float("inf"), 0.0], 2),
+    "rho_infinite": ("rho_per_m", [1e-3, float("inf"), -1.0], 1),
+    "d0_infinite": ("d0_m", [100.0, float("inf")], 1),
+    "mdata_infinite": ("mdata_mb", [1.0, float("inf"), 0.0], 1),
+    "mdata_bits_overflow": ("mdata_mb", [1.0, 1e305, 0.0], 1),
+    "data_bits_infinite": ("data_bits", [1e6, float("inf")], 1),
 }
 
 
@@ -788,22 +796,81 @@ class TestScenarioSweepErrors:
     @pytest.mark.parametrize(
         "param", ["speed_mps", "rho_per_m", "d0_m", "min_distance_m", "mdata_mb", "data_bits"]
     )
-    def test_nan_values_pass(self, param):
+    def test_nan_values_rejected(self, param):
         base = airplane_scenario()
         values = [SWEEP_VALUES[param][1], float("nan"), SWEEP_VALUES[param][2]]
-        with np.errstate(all="ignore"):
-            want = fresh_engine().solve_batch(sweep_variants(base, param, values))
-            got = fresh_engine().sweep(base, param, values)
-        for name in COLUMNS:
-            assert np.array_equal(
-                getattr(got, name), getattr(want, name), equal_nan=True
-            ), name
+        with pytest.raises(ValueError, match="must be finite, got nan") as want:
+            sweep_variants(base, param, values)
+        for solve in (
+            lambda: ScenarioSweep(base, param, values),
+            lambda: fresh_engine().sweep(base, param, values),
+        ):
+            with pytest.raises(ValueError) as got:
+                solve()
+            assert str(got.value) == str(want.value)
 
     def test_failed_later_chunk_memoises_nothing(self):
         engine = fresh_engine(chunk_size=2)
         with pytest.raises(ValueError, match="data size must be positive"):
             engine.sweep(airplane_scenario(), "data_bits", [1e6, 2e6, 3e6, 4e6, 0.0])
         assert engine.cache_info().currsize == 0
+
+
+#: Sweepable parameters, with and without aliases.
+SWEEP_PARAMS = sorted(SWEEP_VALUES)
+
+
+class TestNonFiniteNeverReachesKernel:
+    """Whatever mix of values a caller passes, the Eq. 2 kernel only
+    ever sees finite parameter columns: a non-finite value raises a
+    ``ValueError`` before any solve."""
+
+    if HAVE_HYPOTHESIS:
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            param=st.sampled_from(SWEEP_PARAMS),
+            values=st.lists(
+                st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+                | st.floats(1e-3, 500.0),
+                min_size=1,
+                max_size=6,
+            ),
+            as_list=st.booleans(),
+        )
+        def test_property(self, param, values, as_list):
+            import repro.engine.batch as engine_module
+
+            seen = []
+            kernel = engine_module.argmax_utility
+
+            def spy(dmin, d0, utility, *args):
+                params = utility.__self__
+                seen.append(
+                    all(
+                        np.isfinite(column).all()
+                        for column in (dmin, d0, params.v, params.bits, params.rho)
+                    )
+                )
+                return kernel(dmin, d0, utility, *args)
+
+            base = airplane_scenario()
+            # Extreme finite values may still warn inside the kernel.
+            with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+                patch.setattr(engine_module, "argmax_utility", spy)
+                try:
+                    if as_list:
+                        fresh_engine().solve_batch(
+                            sweep_variants(base, param, values)
+                        )
+                    else:
+                        fresh_engine().sweep(base, param, values)
+                except ValueError:
+                    pass
+                else:
+                    assert np.isfinite(values).all()
+            assert all(seen)
 
 
 class TestScenarioSweepObs:

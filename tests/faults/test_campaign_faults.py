@@ -12,8 +12,8 @@ import pytest
 from repro.faults import BatchOutageSchedule
 from repro.measurements.batch import (
     BatchCampaignConfig,
+    _group_outages,
     _replica_fault_plan,
-    _shard_outages,
     run_campaign,
 )
 from repro.obs import ObsContext
@@ -57,18 +57,24 @@ class TestReplicaFaultStreams:
                 assert 0.0 <= start < FAULTY.duration_s
 
     def test_shard_outages_align_with_global_plans(self):
-        schedule = _shard_outages(FAULTY, shard=1, n_replicas=5)
-        assert isinstance(schedule, BatchOutageSchedule)
-        assert schedule.n_replicas == 5
-        # Shard 1 with block_size 5 covers global replicas 5..9.
-        for offset in range(5):
-            expected = _replica_fault_plan(FAULTY, 5 + offset)
-            got = schedule.windows_s[offset]
-            want = BatchOutageSchedule([expected.outage_windows_s()]).windows_s[0]
-            assert got == want
+        # Shards 1 and 2 (block_size 5, 12 cases) cover global replicas
+        # 5..9 and 10..11; a group of them lists those end to end.
+        for group, first in ((FAULTY.shards()[1:2], 5), (FAULTY.shards()[1:], 5)):
+            schedule = _group_outages(FAULTY, group)
+            assert isinstance(schedule, BatchOutageSchedule)
+            n = sum(len(distances) for _, distances in group)
+            assert schedule.n_replicas == n
+            for offset in range(n):
+                expected = _replica_fault_plan(FAULTY, first + offset)
+                got = schedule.windows_s[offset]
+                want = BatchOutageSchedule(
+                    [expected.outage_windows_s()]
+                ).windows_s[0]
+                assert got == want
 
     def test_fault_free_config_has_no_schedule(self):
-        assert _shard_outages(BatchCampaignConfig(), 0, 4) is None
+        config = BatchCampaignConfig()
+        assert _group_outages(config, config.shards()[:1]) is None
 
 
 class TestWorkerCountInvariance:

@@ -7,6 +7,10 @@ import pytest
 
 from repro.measurements.batch import (
     BatchCampaignConfig,
+    _decode_group_output,
+    _group_shards,
+    _run_group_task,
+    _shard_store_key,
     run_campaign,
     run_scalar_reference,
 )
@@ -224,3 +228,130 @@ class TestBitIdentity:
         counters = obs.metrics.to_dict()["counters"]
         assert counters["channel.mean_cache_hits"] == 597
         assert counters["channel.mean_cache_misses"] == 3
+
+
+def _grouping_config(faults: bool) -> BatchCampaignConfig:
+    """5 shards (5, 5, 5, 5, 4 replicas) that straddle distances."""
+    return BatchCampaignConfig(
+        profile="quadrocopter",
+        controller="arf",
+        distances_m=(60.0, 140.0, 220.0),
+        n_replicas=8,
+        duration_s=3.0,
+        seed=21,
+        block_size=5,
+        relative_speed_mps=4.0,
+        outage_rate_per_s=0.3 if faults else 0.0,
+        outage_mean_duration_s=0.6 if faults else 0.0,
+    )
+
+
+#: :func:`_grouping_config`'s output as recorded from the runner that
+#: stepped each shard as a batch of its own, before shards were
+#: stacked: sample digest, merged counters and the per-shard outage
+#: counts (faults on).
+GROUPING_PINS = {
+    False: (
+        "d63373057e5b93283004f269fab2036c82bdfd38dd5cf685be9f0c75b8e8b1ad",
+        {
+            "campaign.epochs": 3600,
+            "campaign.replicas": 24,
+            "campaign.samples": 72,
+            "channel.mean_cache_hits": 745,
+            "channel.mean_cache_misses": 5,
+        },
+    ),
+    True: (
+        "153304305f7c441e9c0a0ce50d478fca256a35e0c7b06f616a8f783ba28a68e7",
+        {
+            "campaign.epochs": 3600,
+            "campaign.replicas": 24,
+            "campaign.samples": 72,
+            "channel.mean_cache_hits": 745,
+            "channel.mean_cache_misses": 5,
+            "faults.outage_replica_epochs": 404,
+        },
+    ),
+}
+SHARD_OUTAGE_EPOCHS = [74, 14, 103, 116, 97]
+
+
+class TestGroupingInvariance:
+    """A pool task steps a contiguous group of shards as one batched
+    link; each shard keeps its own streams, so no layout of groups
+    changes a sample, a counter or a store entry."""
+
+    @pytest.mark.parametrize("faults", [False, True])
+    def test_group_outputs_equal_solo_shards(self, faults):
+        config = _grouping_config(faults)
+        shards = config.shards()
+
+        def run(group):
+            return _decode_group_output(_run_group_task((config, group, False)))
+
+        solo = [run([shard])[0] for shard in shards]
+        for n_groups in (1, 2, 3, len(shards)):
+            groups = _group_shards(shards, n_groups)
+            assert len(groups) == n_groups
+            assert [s for group in groups for s in group] == shards
+            assert [out for group in groups for out in run(group)] == solo
+        if faults:
+            assert [
+                meta["counters"]["faults.outage_replica_epochs"]
+                for _, _, meta in solo
+            ] == SHARD_OUTAGE_EPOCHS
+
+    def test_groups_balance_replicas(self):
+        shards = [(i, (1.0,) * size) for i, size in enumerate([5, 5, 5, 5, 4])]
+        sizes = [
+            [len(d) for _, d in group] for group in _group_shards(shards, 2)
+        ]
+        assert sizes == [[5, 5], [5, 5, 4]]
+        assert _group_shards(shards, 9) == [[shard] for shard in shards]
+        assert _group_shards([], 4) == []
+
+    @pytest.mark.parametrize("faults", [False, True])
+    def test_layouts_serial_pooled_warm(self, faults, tmp_path, monkeypatch):
+        from repro.exec import ExecBackend
+        from repro.store import ResultStore
+
+        config = _grouping_config(faults)
+        shards = config.shards()
+        digest, counters = GROUPING_PINS[faults]
+
+        def run(store, parallel):
+            obs = ObsContext.enabled(deterministic=True)
+            result = run_campaign(
+                config, parallel=parallel, max_workers=2, obs=obs, cache=store
+            )
+            entries = {
+                path.name: path.read_bytes()
+                for path in sorted((store.root / "objects").rglob("*.json"))
+            }
+            return samples_digest(result), obs.metrics.to_dict(), entries
+
+        seen = {}
+        for n_groups in (1, 2, 3, len(shards)):
+            monkeypatch.setattr(
+                ExecBackend, "lanes", lambda self, parallel=None: n_groups
+            )
+            for parallel in (False, True):
+                root = tmp_path / f"{n_groups}-{parallel}"
+                cold = run(ResultStore(root), parallel)
+                # Warm the store partially: shards 1 and 3 must re-run.
+                store = ResultStore(root)
+                for shard, distances in (shards[1], shards[3]):
+                    store._drop(_shard_store_key(config, shard, distances))
+                warm = run(store, parallel)
+                for state, out in (("cold", cold), ("warm", warm)):
+                    assert out[0] == digest
+                    assert {
+                        k: v
+                        for k, v in out[1]["counters"].items()
+                        if not k.startswith("store.")
+                    } == counters
+                    seen.setdefault(state, out)
+                    assert out == seen[state], (n_groups, parallel, state)
+        assert seen["warm"][2] == seen["cold"][2]
+        assert seen["warm"][1]["counters"]["store.hits"] == 3
+        assert seen["warm"][1]["counters"]["store.points.cold"] == 10

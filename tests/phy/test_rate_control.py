@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.phy import (
     ArfController,
@@ -50,6 +52,23 @@ class TestBestMcsOracle:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             BestMcsOracle(ErrorModel(), candidates=[])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hint=st.floats(allow_nan=True, allow_infinity=True)
+        | st.floats(min_value=-20.0, max_value=60.0),
+        candidates=st.none()
+        | st.lists(st.sampled_from(sorted(range(16))), min_size=1, max_size=16),
+    )
+    def test_one_call_choice_equals_max_loop(self, hint, candidates):
+        """The one-call scoring picks what ``max`` over per-candidate
+        :meth:`expected_goodput_bps` calls picks, ties to the first."""
+        oracle = BestMcsOracle(ErrorModel(), candidates=candidates)
+        want = max(
+            oracle.candidates,
+            key=lambda idx: oracle.expected_goodput_bps(hint, idx),
+        )
+        assert oracle.select(0.0, snr_hint_db=hint) == want
 
 
 class TestArf:

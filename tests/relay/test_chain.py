@@ -1,5 +1,6 @@
 """The RelayChain / RelayHop scenario model."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -153,15 +154,20 @@ class TestNonFiniteInputsRejected:
         ],
     )
     def test_hop_scenario_fields(self, quad_scenario, field, value):
-        # The scenario itself accepts these values; the hop does not.
-        scenario = dataclasses.replace(quad_scenario, **{field: value})
+        # The scenario refuses these values itself...
+        with pytest.raises(ValueError):
+            dataclasses.replace(quad_scenario, **{field: value})
+        # ...and the hop refuses a scenario that got past that check.
+        scenario = copy.copy(quad_scenario)
+        object.__setattr__(scenario, field, value)
         name = "data_bits" if field == "data_bits_override" else field
         with pytest.raises(ValueError, match=f"hop {name} must be finite"):
             RelayHop(scenario=scenario)
 
     @pytest.mark.parametrize("value", [NAN, INF])
     def test_mdata_through_of(self, value):
-        with pytest.raises(ValueError, match="hop data_bits must be finite"):
+        # The rewritten hop scenario refuses it before the hop sees it.
+        with pytest.raises(ValueError, match="data_bits must be finite"):
             RelayChain.of([quadrocopter_scenario()], mdata_mb=value)
 
     @pytest.mark.parametrize(

@@ -102,6 +102,63 @@ class TestCorruption:
         assert store.get(KEY_A) == {"v": 1}
 
 
+#: Index documents that parse as JSON but not as an index: a non-dict
+#: entry, a non-int ``size`` or ``tick`` (bools and floats included), a
+#: missing field, a non-int clock.
+MALFORMED_INDEXES = {
+    "int_entry": lambda index: index["entries"].update({KEY_A: 5}),
+    "list_entry": lambda index: index["entries"].update({KEY_A: [1, 2]}),
+    "str_size": lambda index: index["entries"][KEY_A].update(size="12"),
+    "float_size": lambda index: index["entries"][KEY_A].update(size=12.5),
+    "bool_tick": lambda index: index["entries"][KEY_A].update(tick=True),
+    "null_tick": lambda index: index["entries"][KEY_A].update(tick=None),
+    "no_size": lambda index: index["entries"][KEY_A].pop("size"),
+    "str_clock": lambda index: index.update(tick="3"),
+}
+
+
+class TestMalformedIndex:
+    """A malformed index is a counted corrupt read, then rebuilt from
+    the objects tree: no store call raises."""
+
+    @pytest.fixture(params=sorted(MALFORMED_INDEXES))
+    def damaged(self, request, store):
+        store.put(KEY_A, {"v": 1})
+        store.put(KEY_B, {"v": 2})
+        index = json.loads(store.index_path.read_text())
+        MALFORMED_INDEXES[request.param](index)
+        store.index_path.write_text(json.dumps(index))
+        return store
+
+    def test_get(self, damaged):
+        assert damaged.get(KEY_A) == {"v": 1}
+        assert damaged.counters["corrupt"] == 1
+        index = json.loads(damaged.index_path.read_text())
+        assert sorted(index["entries"]) == [KEY_A, KEY_B]
+
+    def test_put(self, damaged):
+        assert damaged.put(KEY_C, {"v": 3}) is True
+        assert damaged.counters["corrupt"] == 1
+        assert damaged.stats()["entries"] == 3
+        assert damaged.get(KEY_C) == {"v": 3}
+
+    def test_stats(self, damaged):
+        stats = damaged.stats()
+        assert stats["entries"] == 2
+        assert stats["total_bytes"] > 0
+        assert damaged.counters["corrupt"] == 1
+
+    def test_verify(self, damaged):
+        assert damaged.verify(repair=False) == {"checked": 2, "corrupt": 0}
+        # Repairing a damaged entry file drops its row from the index,
+        # which reads (and rebuilds) the damaged index.
+        damaged._object_path(KEY_A).write_text("broken")
+        assert damaged.verify(repair=True) == {"checked": 2, "corrupt": 1}
+        assert damaged.counters["corrupt"] == 2  # the entry, the index
+        assert sorted(damaged._load_index()["entries"]) == [KEY_B]
+        assert damaged.get(KEY_B) == {"v": 2}
+
+
 def _old_document(key, body):
     """The entry document as first written: the whole wrapper encoded."""
     sha = hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
