@@ -1,19 +1,16 @@
-"""Execution backend: pool reuse vs per-call pools, shm transport share.
+"""Execution backend: pool reuse vs per-call pools, pooled == serial.
 
-The backend's contract (ISSUE 10) is threefold:
+The backend's contract is twofold:
 
 * **reuse** — 20 repeated small-N campaigns (5 distances x 100
   replicas = 500 cases each) through the persistent pool must be at
   least 1.5x faster than the same campaigns paying a pool spawn +
   teardown per call (the pre-backend behaviour, reproduced here by
   disposing every pool between rounds);
-* **transport** — on a fat-shard campaign (arrays past the
-  ``REPRO_EXEC_SHM_MIN_BYTES`` threshold) at least 90% of the result
-  bytes must travel through ``multiprocessing.shared_memory`` rather
-  than pickle, as counted by the backend's ``exec.shm_bytes`` /
-  ``exec.pickle_bytes`` counters;
 * **identity** — pooled samples are bit-identical to the serial run's
-  on both workloads (scheduling must never shape results).
+  on both the reuse workload and a fat-shard campaign whose results
+  are large (scheduling and the pickled trip home must never shape
+  results).
 
 The report is dumped to ``BENCH_exec.json`` through the same manifest
 schema as the other benchmark artifacts.
@@ -32,7 +29,6 @@ from __future__ import annotations
 from conftest import dump_bench_json, run_once
 
 import repro.exec as exec_backend
-from repro.exec import default_backend
 from repro.measurements.batch import BatchCampaignConfig, run_campaign
 from repro.obs import RunManifest
 from repro.perf import wall_clock
@@ -47,8 +43,8 @@ SMALL = BatchCampaignConfig(
     block_size=50,
 )
 
-#: Transport workload: few shards, each carrying arrays well past the
-#: shm threshold (block_size cases x duration/interval readings).
+#: Fat-shard workload: few shards, each returning large sample arrays
+#: (block_size cases x duration/interval readings).
 FAT = BatchCampaignConfig(
     profile="quadrocopter",
     distances_m=(80.0, 160.0),
@@ -64,7 +60,6 @@ ROUNDS = 20
 
 #: Acceptance bars.
 MIN_SPEEDUP = 1.5
-MIN_SHM_FRACTION = 0.9
 
 
 def _reuse_pass() -> dict:
@@ -94,23 +89,11 @@ def _reuse_pass() -> dict:
     }
 
 
-def _transport_pass() -> dict:
-    """Shm vs pickle byte split on the fat-shard campaign."""
-    backend = default_backend()
-    before = dict(backend.counters)
+def _fat_pass() -> dict:
+    """Pooled vs serial samples on the fat-shard campaign."""
     pooled = run_campaign(FAT, parallel=True)
-    shm = backend.counters["exec.shm_bytes"] - before.get("exec.shm_bytes", 0)
-    pickled = (
-        backend.counters["exec.pickle_bytes"]
-        - before.get("exec.pickle_bytes", 0)
-    )
     serial = run_campaign(FAT, parallel=False)
-    return {
-        "shm_bytes": int(shm),
-        "pickle_bytes": int(pickled),
-        "shm_fraction": shm / (shm + pickled) if shm + pickled else 0.0,
-        "transport_samples_identical": pooled.samples == serial.samples,
-    }
+    return {"fat_samples_identical": pooled.samples == serial.samples}
 
 
 def measure() -> dict:
@@ -123,9 +106,8 @@ def measure() -> dict:
             "fat_duration_s": FAT.duration_s,
         },
         **_reuse_pass(),
-        **_transport_pass(),
+        **_fat_pass(),
         "min_speedup": MIN_SPEEDUP,
-        "min_shm_fraction": MIN_SHM_FRACTION,
     }
     exec_backend.shutdown()
     return report
@@ -147,19 +129,16 @@ def exec_manifest(report: dict) -> RunManifest:
 def check(report: dict) -> bool:
     ok = (
         report["reuse_speedup"] >= MIN_SPEEDUP
-        and report["shm_fraction"] >= MIN_SHM_FRACTION
         and report["reuse_samples_identical"]
-        and report["transport_samples_identical"]
+        and report["fat_samples_identical"]
     )
     print(
         f"exec backend gates: {'PASS' if ok else 'FAIL'} "
         f"(pool reuse {report['reuse_speedup']:.2f}x >= {MIN_SPEEDUP}x: "
         f"{report['percall_s']:.3f} s per-call -> "
         f"{report['persistent_s']:.3f} s persistent; "
-        f"shm fraction {report['shm_fraction']:.3f} >= {MIN_SHM_FRACTION}: "
-        f"{report['shm_bytes']} shm vs {report['pickle_bytes']} pickled "
-        f"bytes; identity {report['reuse_samples_identical']}/"
-        f"{report['transport_samples_identical']})"
+        f"identity {report['reuse_samples_identical']}/"
+        f"{report['fat_samples_identical']})"
     )
     return ok
 
@@ -180,9 +159,8 @@ def test_exec_pool_reuse(benchmark):
     report = run_once(benchmark, measure)
     dump_bench_json(exec_manifest(report).to_dict(), "BENCH_exec.json")
     assert report["reuse_speedup"] >= MIN_SPEEDUP
-    assert report["shm_fraction"] >= MIN_SHM_FRACTION
     assert report["reuse_samples_identical"]
-    assert report["transport_samples_identical"]
+    assert report["fat_samples_identical"]
 
 
 if __name__ == "__main__":

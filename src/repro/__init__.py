@@ -69,7 +69,7 @@ from .api import (
     utility_curve,
 )
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     # Stable façade (repro.api)

@@ -36,26 +36,26 @@ See docs/PERFORMANCE.md ("Result store & incremental sweeps").
 
 Results and the RunResult envelope
 ----------------------------------
-Every entry point returns a versioned :class:`RunResult` envelope:
-``.outputs`` holds the underlying object (:class:`OptimalDecision`,
-:class:`BatchResult`, :class:`~repro.faults.chaos.ChaosResult`),
-``.manifest`` a :class:`~repro.obs.RunManifest` (config echo, seeds,
-git rev, and — when ``obs=`` was passed — metrics, trace and events).  The envelope *delegates* attribute access, indexing and
-iteration to its outputs, so existing call sites
-(``solve(s).distance_m``, ``for d in solve_batch(...)``) keep working
-unchanged.  Callers that need the exact pre-envelope return type can
-pass ``legacy=True`` (deprecated; see ``docs/API.md`` for the
-timeline).
+Every entry point returns a versioned :class:`RunResult` envelope, and
+nothing else: ``.outputs`` holds the underlying object
+(:class:`OptimalDecision`, :class:`BatchResult`,
+:class:`~repro.faults.chaos.ChaosResult`,
+:class:`~repro.relay.solver.RelayDecision`), ``.manifest`` a
+:class:`~repro.obs.RunManifest` (config echo, seeds, git rev, and —
+when ``obs=`` was passed — metrics, trace and events).  The envelope
+*delegates* attribute access, indexing and iteration to its outputs,
+so call sites such as ``solve(s).distance_m`` or
+``for d in solve_batch(...)`` read it directly; callers that need the
+bare object read ``.outputs``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .core.optimizer import DistanceOptimizer, OptimalDecision
+from .core.optimizer import OptimalDecision
 from .core.scenario import Scenario, airplane_scenario, quadrocopter_scenario
 from .engine import BatchResult, BatchSolverEngine, default_engine
 from .faults.plan import FaultPlan, FaultSpec
@@ -138,17 +138,6 @@ class RunResult:
         )
 
 
-def _legacy_warning(fn: str) -> None:
-    warnings.warn(
-        f"repro.api.{fn}(legacy=True) returns the bare result object; "
-        "the RunResult envelope delegates every attribute, so most "
-        "callers can simply drop legacy=True.  The kwarg will be "
-        "removed two releases after 1.1 (see docs/API.md).",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def _scenario_config(scn: Scenario) -> Dict[str, object]:
     """The manifest's config echo for one scenario."""
     return {
@@ -219,17 +208,15 @@ def solve(
     scenario: Scenario,
     engine: Optional[BatchSolverEngine] = None,
     obs: Optional[ObsContext] = None,
-    legacy: bool = False,
     cache=None,
     refresh: bool = False,
 ) -> RunResult:
     """Solve Eq. 2 for one scenario (memoised).
 
     Returns a :class:`RunResult` delegating to the solved
-    :class:`OptimalDecision`; ``legacy=True`` returns the bare decision
-    (deprecated).  ``obs`` collects spans/metrics/events into the
-    manifest.  ``cache``/``refresh`` control the persistent result
-    store (see the module docstring).
+    :class:`OptimalDecision`.  ``obs`` collects spans/metrics/events
+    into the manifest.  ``cache``/``refresh`` control the persistent
+    result store (see the module docstring).
     """
     eng = engine or default_engine()
     store = _resolve_store(cache)
@@ -241,9 +228,6 @@ def solve(
         )
     else:
         decision = eng.solve(scenario, obs=obs)
-    if legacy:
-        _legacy_warning("solve")
-        return decision
     manifest = RunManifest.build(
         kind="solve",
         config=_scenario_config(scenario),
@@ -258,16 +242,15 @@ def solve_batch(
     engine: Optional[BatchSolverEngine] = None,
     parallel: Optional[bool] = None,
     obs: Optional[ObsContext] = None,
-    legacy: bool = False,
     cache=None,
     refresh: bool = False,
 ) -> RunResult:
     """Solve Eq. 2 for a fleet of scenarios in one vectorised pass.
 
     Returns a :class:`RunResult` delegating to the
-    :class:`BatchResult` (iteration/indexing included); ``legacy=True``
-    returns the bare batch (deprecated).  ``cache``/``refresh`` control
-    the persistent result store (see the module docstring).
+    :class:`BatchResult` (iteration/indexing included).
+    ``cache``/``refresh`` control the persistent result store (see the
+    module docstring).
     """
     eng = engine or default_engine()
     store = _resolve_store(cache)
@@ -280,9 +263,6 @@ def solve_batch(
         )
     else:
         result = eng.solve_batch(scenarios, parallel=parallel, obs=obs)
-    if legacy:
-        _legacy_warning("solve_batch")
-        return result
     manifest = RunManifest.build(
         kind="solve_batch",
         config={"n": len(result)},
@@ -298,7 +278,6 @@ def sweep(
     values: Iterable[float],
     engine: Optional[BatchSolverEngine] = None,
     obs: Optional[ObsContext] = None,
-    legacy: bool = False,
     cache=None,
     refresh: bool = False,
 ) -> RunResult:
@@ -307,9 +286,8 @@ def sweep(
     ``param`` accepts the same names as :meth:`Scenario.with_`:
     ``mdata_mb``, ``speed_mps``, ``rho_per_m``, ``d0_m``, or any raw
     ``Scenario`` field.  Returns a :class:`RunResult` delegating to the
-    :class:`BatchResult`; ``legacy=True`` returns the bare batch
-    (deprecated).  ``cache``/``refresh`` control the persistent result
-    store (see the module docstring).
+    :class:`BatchResult`.  ``cache``/``refresh`` control the persistent
+    result store (see the module docstring).
     """
     eng = engine or default_engine()
     store = _resolve_store(cache)
@@ -321,9 +299,6 @@ def sweep(
         )
     else:
         result = eng.sweep(scenario, param, values, obs=obs)
-    if legacy:
-        _legacy_warning("sweep")
-        return result
     manifest = RunManifest.build(
         kind="sweep",
         config={**_scenario_config(scenario), "param": param},
@@ -370,7 +345,6 @@ def chaos(
     scenario_name: str = "quadrocopter",
     seed: int = 1,
     obs: Optional[ObsContext] = None,
-    legacy: bool = False,
     cache=None,
     refresh: bool = False,
     **kwargs,
@@ -388,8 +362,7 @@ def chaos(
     through the same builder as ``repro chaos --json``, so CLI and
     library bytes agree.  ``obs`` defaults to a fresh *deterministic*
     context (chaos runs carry a replay byte-identity guarantee, so a
-    wall-clocked tracer would be a contract violation); ``legacy=True``
-    returns the bare result (deprecated).
+    wall-clocked tracer would be a contract violation).
     """
     from .faults.chaos import ChaosResult, chaos_manifest, run_chaos
 
@@ -400,8 +373,7 @@ def chaos(
     # result, so a warm chaos run is byte-identical to the cold one —
     # the replay contract survives caching.
     store = key = None
-    cacheable = obs is None and not legacy
-    if cacheable:
+    if obs is None:
         store = _resolve_store(cache)
         obs = ObsContext.enabled(deterministic=True)
     if store is not None:
@@ -419,9 +391,6 @@ def chaos(
     result = run_chaos(
         plan, scenario_name=scenario_name, seed=seed, obs=obs, **kwargs
     )
-    if legacy:
-        _legacy_warning("chaos")
-        return result
     manifest = chaos_manifest(result, plan, obs=obs)
     if key is not None:
         store.put(
@@ -459,7 +428,6 @@ def solve_relay(
     chain,
     engine: Optional[BatchSolverEngine] = None,
     obs: Optional[ObsContext] = None,
-    legacy: bool = False,
     cache=None,
     refresh: bool = False,
 ) -> RunResult:
@@ -473,15 +441,13 @@ def solve_relay(
     context — like chaos runs, relay solves carry a replay
     byte-identity guarantee, which is also what lets the full manifest
     be cached alongside the result: a warm run returns bytes identical
-    to the cold run that populated the store.  ``legacy=True`` returns
-    the bare decision (deprecated).
+    to the cold run that populated the store.
     """
     from .relay.solver import RelayDecision, RelaySolver, relay_manifest
 
     eng = engine or default_engine()
     store = key = None
-    cacheable = obs is None and not legacy
-    if cacheable:
+    if obs is None:
         store = _resolve_store(cache)
         obs = ObsContext.enabled(deterministic=True)
     if store is not None:
@@ -497,9 +463,6 @@ def solve_relay(
             else:
                 return RunResult("relay", result, manifest)
     result = RelaySolver(eng).solve(chain, obs=obs)
-    if legacy:
-        _legacy_warning("solve_relay")
-        return result
     manifest = relay_manifest(result, chain, obs=obs)
     if key is not None:
         store.put(

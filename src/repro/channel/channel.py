@@ -24,7 +24,7 @@ DESIGN.md for the substitution rationale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

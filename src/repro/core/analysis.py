@@ -22,7 +22,6 @@ from typing import Dict
 
 import numpy as np
 
-from .optimizer import DistanceOptimizer
 from .scenario import Scenario
 from .utility import DelayedGratificationUtility
 

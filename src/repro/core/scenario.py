@@ -65,6 +65,8 @@ class Scenario:
             raise ValueError("cruise speed must be positive")
         if self.failure_rate_per_m < 0:
             raise ValueError("failure rate must be non-negative")
+        if self.min_distance_m <= 0:
+            raise ValueError("safety floor must be positive")
         if self.contact_distance_m < self.min_distance_m:
             raise ValueError("contact distance below the safety floor")
         bits = self.data_bits_override
@@ -265,10 +267,12 @@ class ScenarioSweep:
         speed = self.column("cruise_speed_mps")
         rho = self.column("failure_rate_per_m")
         d0 = self.column("contact_distance_m")
+        dmin = self.column("min_distance_m")
         bad = (
             (speed <= 0)
             | (rho < 0)
-            | (d0 < self.column("min_distance_m"))
+            | (dmin <= 0)
+            | (d0 < dmin)
             | ~np.isfinite(column)  # the base's own fields are finite
         )
         if bad.any():

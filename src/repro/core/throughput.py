@@ -16,7 +16,7 @@ median throughput.  The library accepts anything implementing
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 

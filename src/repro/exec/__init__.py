@@ -6,8 +6,8 @@ engine's thread fan-out), with:
 
 * lazily-spawned, PID-guarded ``ProcessPoolExecutor``/
   ``ThreadPoolExecutor`` pools and an explicit :func:`shutdown`;
-* shared-memory structure-of-arrays result transport
-  (:class:`ArrayPayload`), pickling only small/non-array payloads;
+* results that travel home as plain pickle (exact, so serial and
+  pooled maps agree bit for bit);
 * adaptive dispatch sharding (:class:`~repro.exec.sharding.ShardPlanner`)
   seeded from the chunk wall-clock the workers report;
 * crash recovery — broken pools respawn and undelivered chunks
@@ -32,19 +32,15 @@ from .backend import (
     shutdown,
 )
 from .sharding import ShardPlanner
-from .transport import ArrayPayload, decode_result, encode_result
 
 __all__ = [
-    "ArrayPayload",
     "ExecBackend",
     "MapReport",
     "ShardPlanner",
     "backend_for",
     "configure",
     "counters_snapshot",
-    "decode_result",
     "default_backend",
-    "encode_result",
     "resolve_workers",
     "shutdown",
 ]

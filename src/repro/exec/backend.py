@@ -12,11 +12,11 @@ Contracts the backend guarantees:
 * **Ordered, deterministic merges.**  ``map`` returns results in task
   order regardless of pool completion order; dispatch chunks are
   contiguous index ranges reassembled by global chunk index.
-* **Byte-identical serial vs. pooled.**  The transport round trip
-  (:mod:`repro.exec.transport`) is exact, workers are pure functions
-  of their pickled arguments, and the backend's own counters never
-  touch result values — so manifests built from pooled runs match the
-  serial ones byte for byte.
+* **Byte-identical serial vs. pooled.**  Results travel home as plain
+  pickle, which is exact; workers are pure functions of their pickled
+  arguments, and the backend's own counters never touch result values
+  — so manifests built from pooled runs match the serial ones byte for
+  byte.
 * **Crash recovery.**  A worker death breaks a
   ``ProcessPoolExecutor`` permanently; the backend disposes the broken
   pool, respawns, and resubmits exactly the chunks that never
@@ -33,9 +33,9 @@ Worker count resolution: explicit ``max_workers`` argument, else
 ``configure(serial=True)`` (the CLI ``--serial`` flag) forces every
 ``map`` onto the in-process path.
 
-Backend counters (``exec.pool_reuse``, ``exec.shm_bytes``,
-``exec.pickle_bytes``, ``exec.shards``, ...) live on the backend
-object and in :func:`counters_snapshot` — deliberately *not* in
+Backend counters (``exec.pool_reuse``, ``exec.respawns``,
+``exec.shards``, ...) live on the backend object and in
+:func:`counters_snapshot` — deliberately *not* in
 :class:`~repro.obs.RunManifest` documents, whose cache-invariant
 sections must not vary with worker count or pool state.
 """
@@ -49,7 +49,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..perf import wall_clock
 from .sharding import ShardPlanner
-from .transport import decode_result, encode_result
 
 __all__ = [
     "ExecBackend",
@@ -68,8 +67,6 @@ _COUNTER_NAMES = (
     "exec.respawns",
     "exec.shards",
     "exec.serial_tasks",
-    "exec.shm_bytes",
-    "exec.pickle_bytes",
 )
 
 
@@ -81,11 +78,11 @@ def _run_chunk(fn: Callable, tasks: Sequence) -> tuple:
     """One pool submission: run ``fn`` over a contiguous task chunk.
 
     Returns ``(seconds, outs)``: the chunk's wall-clock (the planner's
-    cost model feeds on it) and each result wire-encoded so array
-    payloads ride shared memory instead of pickle.
+    cost model feeds on it) and the results, which travel home as
+    plain pickle.
     """
     start = wall_clock()
-    outs = [encode_result(fn(task)) for task in tasks]
+    outs = [fn(task) for task in tasks]
     return wall_clock() - start, outs
 
 
@@ -214,7 +211,7 @@ class ExecBackend:
             return self._map_serial(fn, tasks, family)
         reused = self._pool is not None
         slices = self.planner.chunk_slices(family, len(tasks), self.workers)
-        wire: List[Optional[list]] = [None] * len(slices)
+        done: List[Optional[list]] = [None] * len(slices)
         pending = set(range(len(slices)))
         respawns = 0
         while pending:
@@ -230,7 +227,7 @@ class ExecBackend:
                     ci = submitted[fut]
                     seconds, outs = fut.result()
                     self.planner.observe(family, len(slices[ci]), seconds)
-                    wire[ci] = outs
+                    done[ci] = outs
                     pending.discard(ci)
             except (OSError, PermissionError):
                 # Pool could not start (or died un-politely).  If it
@@ -240,7 +237,7 @@ class ExecBackend:
                 if not reused and len(pending) == len(slices):
                     self._pool_unavailable = True
                     return self._map_serial(fn, tasks, family)
-                self._run_in_parent(fn, tasks, slices, pending, wire)
+                self._run_in_parent(fn, tasks, slices, pending, done)
             except futures.process.BrokenProcessPool:
                 self._dispose_pool()
                 respawns += 1
@@ -249,35 +246,23 @@ class ExecBackend:
                     # Degrade, never fail: finish the undelivered
                     # chunks in the parent.  Purity of the workers
                     # makes the re-run bit-identical.
-                    self._run_in_parent(fn, tasks, slices, pending, wire)
+                    self._run_in_parent(fn, tasks, slices, pending, done)
         if reused:
             self.counters["exec.pool_reuse"] += 1
         self.counters["exec.shards"] += len(tasks)
-        results = []
-        for outs in wire:
-            for item in outs:
-                results.append(self._decode(item))
-        return results, MapReport(
+        return [out for outs in done for out in outs], MapReport(
             pooled=True,
             chunks=len(slices),
             tasks=len(tasks),
             respawns=respawns,
         )
 
-    def _run_in_parent(self, fn, tasks, slices, pending, wire) -> None:
+    def _run_in_parent(self, fn, tasks, slices, pending, done) -> None:
         """Degraded path: run every undelivered chunk in the parent."""
         for ci in sorted(pending):
-            wire[ci] = [fn(tasks[i]) for i in slices[ci]]
+            done[ci] = [fn(tasks[i]) for i in slices[ci]]
             self.counters["exec.serial_tasks"] += len(slices[ci])
         pending.clear()
-
-    def _decode(self, item):
-        from .transport import WireResult
-
-        if isinstance(item, WireResult):
-            self.counters["exec.shm_bytes"] += item.shm_bytes
-            self.counters["exec.pickle_bytes"] += len(item.payload_bytes)
-        return decode_result(item)
 
     # ------------------------------------------------------------------
     def thread_map(

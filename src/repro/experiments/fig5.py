@@ -10,8 +10,6 @@ b = 49, R^2 = 0.90).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..measurements.campaign import AirplaneFlybyCampaign
 from ..measurements.datasets import AIRPLANE_FIT
 from ..measurements.fitting import fit_log2

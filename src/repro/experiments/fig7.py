@@ -12,10 +12,6 @@ Three panels:
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
-
 from ..measurements.campaign import (
     QuadApproachCampaign,
     QuadHoverCampaign,

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from ..api import Scenario, airplane_scenario, default_engine, quadrocopter_scenario
 from ..report.ascii import line_plot
 from .base import ExperimentReport, format_table

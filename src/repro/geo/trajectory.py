@@ -7,9 +7,8 @@ logs behind Figure 4 of the paper.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -18,9 +18,8 @@ Everything a worker needs travels in a picklable
 spec strings, never by object reference.  With ``obs=`` each worker
 fills a deterministic :class:`~repro.obs.ObsContext` per shard (a span,
 ``campaign.*`` counts, the channel memo and injected-outage counters)
-and the parent merges them.  A group's sample blocks ride home as one
-:class:`~repro.exec.ArrayPayload` structure-of-arrays — large NumPy
-results cross the process boundary through shared memory, not pickle.
+and the parent merges them.  A group's per-shard outputs travel home
+as plain pickle, each distance's readings one float64 array.
 
 :func:`run_scalar_reference` runs the identical workload on the scalar
 engine — the baseline for the speedup and agreement numbers.
@@ -29,6 +28,7 @@ engine — the baseline for the speedup and agreement numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from ..channel.channel import (
     indoor_profile,
     quadrocopter_profile,
 )
-from ..exec import ArrayPayload, backend_for
+from ..exec import backend_for
 from ..faults.outage import BatchOutageSchedule
 from ..faults.plan import FaultPlan
 from ..net.batchlink import BatchWirelessLink
@@ -292,8 +292,8 @@ def _run_shard_group(
     boundary; also the sequential path.
 
     Returns one ``(samples, obs, meta)`` per shard, in group order,
-    each distance's readings a float64 array (the wire form
-    :func:`_run_group_task` ships).  ``collect_obs`` makes each shard
+    each distance's readings a float64 array (what a pool task ships;
+    the parent turns them into lists).  ``collect_obs`` makes each shard
     fill a *deterministic* obs context
     (span per shard, ``campaign.*`` metrics) shipped back to the
     parent for merging — deterministic so the merged summary is
@@ -370,60 +370,6 @@ def _run_shard_group(
         meta = {"steps": steps, "sim_end_s": now, "counters": counters}
         outputs.append((samples, obs, meta))
         start = stop
-    return outputs
-
-
-def _run_group_task(args: Tuple) -> ArrayPayload:
-    """Pool task: one shard group, its samples as a structure-of-arrays.
-
-    Every shard's per-distance reading lists are flattened into three
-    arrays (``distances`` / ``lengths`` / ``values``), with
-    ``shard_keys`` holding how many distances each shard has, so the
-    bulk of a group's output can ride the execution backend's
-    shared-memory transport; the obs contexts and replay metas stay in
-    the (small) pickled ``meta`` side.  :func:`_decode_group_output`
-    inverts this exactly — float64 in, float64 out — which keeps
-    serial and pooled campaigns bit-identical.
-    """
-    config, group, collect_obs = args
-    outputs = _run_shard_group(config, group, collect_obs)
-    keys = [key for samples, _, _ in outputs for key in samples]
-    readings = [
-        values for samples, _, _ in outputs for values in samples.values()
-    ]
-    return ArrayPayload(
-        arrays={
-            "shard_keys": np.asarray(
-                [len(samples) for samples, _, _ in outputs], dtype=np.int64
-            ),
-            "distances": np.asarray(keys, dtype=float),
-            "lengths": np.asarray([len(r) for r in readings], dtype=np.int64),
-            "values": (
-                np.concatenate(readings) if readings else np.zeros(0, dtype=float)
-            ),
-        },
-        meta=[(obs, meta) for _, obs, meta in outputs],
-    )
-
-
-def _decode_group_output(payload: ArrayPayload) -> List[ShardOutput]:
-    """Rebuild a group's per-shard outputs from its wire payload."""
-    distances = payload.arrays["distances"].tolist()
-    lengths = payload.arrays["lengths"].tolist()
-    values = payload.arrays["values"]
-    outputs: List[ShardOutput] = []
-    key = pos = 0
-    for n_keys, (obs, meta) in zip(
-        payload.arrays["shard_keys"].tolist(), payload.meta
-    ):
-        samples: Dict[float, List[float]] = {}
-        for distance, n in zip(
-            distances[key:key + n_keys], lengths[key:key + n_keys]
-        ):
-            samples[distance] = values[pos:pos + n].tolist()
-            pos += n
-        key += n_keys
-        outputs.append((samples, obs, meta))
     return outputs
 
 
@@ -594,15 +540,16 @@ def run_campaign(
     groups = _group_shards(pending, backend.lanes(parallel))
     live: Dict[int, ShardOutput] = {}
     try:
-        payloads = backend.map(
-            _run_group_task,
-            [(config, group, collect) for group in groups],
+        results = backend.map(
+            partial(_run_shard_group, config, collect_obs=collect),
+            groups,
             parallel=parallel,
             family="campaign.group",
         )
-        for group, payload in zip(groups, payloads):
-            for (shard, _), out in zip(group, _decode_group_output(payload)):
-                live[shard] = out
+        for group, outputs in zip(groups, results):
+            for (shard, _), (arrays, part, meta) in zip(group, outputs):
+                samples = {d: r.tolist() for d, r in arrays.items()}
+                live[shard] = (samples, part, meta)
     finally:
         if run_span is not None:
             run_span.annotate(shards=len(shards))

@@ -11,7 +11,7 @@ one call (and by the test suite, which asserts on this report).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from .campaign import AirplaneFlybyCampaign, QuadHoverCampaign
 from .datasets import AIRPLANE_FIT, QUADROCOPTER_FIT

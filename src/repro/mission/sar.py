@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..airframe.autopilot import Uav
 from ..channel.channel import AerialChannel
 from ..core.mission import CameraModel
-from ..core.optimizer import OptimalDecision
 from ..core.planner import RendezvousPlanner
 from ..core.scenario import Scenario, quadrocopter_scenario
 from ..geo.coords import EnuPoint

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from ..channel.channel import AerialChannel
 from ..mac.aggregation import AmpduConfig, AmpduLink
 from ..mac.blockack import BlockAckScoreboard

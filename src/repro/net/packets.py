@@ -8,7 +8,7 @@ accounting honest end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 __all__ = ["Datagram", "ImageBatch"]

@@ -8,7 +8,7 @@ several batches before each rendezvous.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, List, Optional
 
 from .packets import ImageBatch
 

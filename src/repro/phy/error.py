@@ -33,7 +33,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from .mcs import MCS_TABLE, McsEntry, get_mcs
+from .mcs import MCS_TABLE, get_mcs
 
 __all__ = [
     "ErrorModel",

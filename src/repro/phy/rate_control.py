@@ -21,8 +21,8 @@ Three controllers matching the paper's PHY study (Section 3.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 

@@ -8,7 +8,7 @@ numbers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 import numpy as np
 

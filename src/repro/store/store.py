@@ -409,16 +409,23 @@ class ResultStore:
             self._count("errors")
 
     def _drop(self, key: str) -> None:
-        """Remove one entry's file and index row (best-effort)."""
+        """Remove one entry's file and index row (best-effort).
+
+        A damaged or missing index is rebuilt and saved even when it no
+        longer lists ``key``, so a repair leaves a readable index.
+        """
         try:
             os.unlink(self._object_path(key))
         except OSError:
             pass
         try:
             with FileLock(self.lock_path):
-                index = self._load_index()
-                if key in index["entries"]:  # type: ignore[operator]
-                    del index["entries"][key]  # type: ignore[index]
+                index = self._read_index()
+                rebuilt = index is None
+                if rebuilt:
+                    index = self._rebuild_index()
+                listed = index["entries"].pop(key, None) is not None  # type: ignore[union-attr]
+                if listed or rebuilt:
                     self._save_index(index)
         except OSError:
             self._count("errors")

@@ -8,9 +8,8 @@ from repro.control import (
     TelemetryReport,
     WaypointCommand,
 )
-from repro.core import RendezvousPlanner, quadrocopter_scenario
+from repro.core import RendezvousPlanner
 from repro.geo import EnuPoint, GeoPoint, LocalFrame
-from repro.sim import Simulator
 
 
 @pytest.fixture

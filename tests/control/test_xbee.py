@@ -3,7 +3,6 @@
 import pytest
 
 from repro.control import ControlChannel, ControlMessage, XBeeConfig
-from repro.sim import Simulator
 
 
 def msg(payload_bytes=40):

@@ -6,7 +6,6 @@ from repro.core import (
     airplane_scenario,
     concavity_profile,
     is_effectively_concave,
-    quadrocopter_scenario,
     sensitivity,
 )
 

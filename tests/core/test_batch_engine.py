@@ -745,6 +745,7 @@ SWEEP_ERRORS = {
     "rho_negative": ("rho_per_m", [1e-3, 2e-3, -1e-4, -2.0], 2),
     "d0_below_min": ("d0_m", [100.0, 19.0, 5.0], 1),
     "min_above_d0": ("min_distance_m", [10.0, 20.0, 300.5, 400.0], 2),
+    "min_not_positive": ("min_distance_m", [10.0, 0.0, -5.0], 1),
     "mdata_not_positive": ("mdata_mb", [1.0, -3.0, 0.0], 1),
     "data_bits_zero_twice": ("data_bits", [1e6, 0.0, 2e6, 0.0], 1),
     "data_bits_not_positive": ("data_bits", [1e6, 2e6, -5.0, 0.0], 2),
@@ -822,8 +823,9 @@ SWEEP_PARAMS = sorted(SWEEP_VALUES)
 
 class TestNonFiniteNeverReachesKernel:
     """Whatever mix of values a caller passes, the Eq. 2 kernel only
-    ever sees finite parameter columns: a non-finite value raises a
-    ``ValueError`` before any solve."""
+    ever sees finite parameter columns and a positive safety floor: a
+    non-finite value or a floor ``<= 0`` raises a ``ValueError`` before
+    any solve."""
 
     if HAVE_HYPOTHESIS:
 
@@ -833,7 +835,8 @@ class TestNonFiniteNeverReachesKernel:
             values=st.lists(
                 st.floats(allow_nan=True, allow_infinity=True)
                 | st.sampled_from([float("nan"), float("inf"), float("-inf")])
-                | st.floats(1e-3, 500.0),
+                | st.floats(1e-3, 500.0)
+                | st.sampled_from([0.0, -0.0, -5.0]),
                 min_size=1,
                 max_size=6,
             ),
@@ -852,6 +855,7 @@ class TestNonFiniteNeverReachesKernel:
                         np.isfinite(column).all()
                         for column in (dmin, d0, params.v, params.bits, params.rho)
                     )
+                    and (dmin > 0).all()
                 )
                 return kernel(dmin, d0, utility, *args)
 
@@ -870,6 +874,8 @@ class TestNonFiniteNeverReachesKernel:
                     pass
                 else:
                     assert np.isfinite(values).all()
+                    if param == "min_distance_m":
+                        assert min(values) > 0
             assert all(seen)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import HolisticPlanner, RendezvousPlanner, quadrocopter_scenario
+from repro.core import HolisticPlanner, RendezvousPlanner
 from repro.geo import EnuPoint
 
 

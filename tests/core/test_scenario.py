@@ -77,6 +77,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             air_scenario.with_speed(0.0)
 
+    @pytest.mark.parametrize("floor", [0.0, -0.0, -5.0])
+    def test_non_positive_floor_rejected(self, air_scenario, floor):
+        # A floor <= 0 would put log2(0) or a negative distance into
+        # the Eq. 2 utility and return a NaN decision.
+        with pytest.raises(ValueError, match="safety floor must be positive"):
+            air_scenario.with_(min_distance_m=floor)
+
     def test_scenarios_are_independent(self):
         assert airplane_scenario() is not airplane_scenario()
         assert quadrocopter_scenario().name == "quadrocopter"

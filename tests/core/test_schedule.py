@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MultiBatchScheduler, airplane_scenario, quadrocopter_scenario
+from repro.core import MultiBatchScheduler, quadrocopter_scenario
 
 
 class TestMultiBatchScheduler:

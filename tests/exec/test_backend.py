@@ -5,7 +5,6 @@ import os
 import numpy as np
 
 from repro.exec import (
-    ArrayPayload,
     ExecBackend,
     backend_for,
     configure,
@@ -19,10 +18,13 @@ def _double(x):
     return 2 * x
 
 
-def _as_payload(x):
-    return ArrayPayload(
-        arrays={"v": np.full(16_384, float(x))}, meta={"task": x}
-    )
+def _arrays(x):
+    """A result that carries arrays of two dtypes and a Python value."""
+    return {
+        "v": np.full(16_384, float(x)),
+        "n": np.arange(x, dtype=np.int64),
+        "task": x,
+    }
 
 
 def _fragile(task):
@@ -56,17 +58,16 @@ class TestMap:
         finally:
             backend.shutdown()
 
-    def test_pooled_array_payloads_round_trip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SHM_MIN_BYTES", "1024")
+    def test_pooled_array_results_arrive_as_returned(self):
         backend = ExecBackend(max_workers=2)
         try:
-            outs = backend.map(_as_payload, [1, 2, 3], parallel=True)
-            for x, out in zip([1, 2, 3], outs):
-                assert out.meta == {"task": x}
-                np.testing.assert_array_equal(
-                    out.arrays["v"], np.full(16_384, float(x))
-                )
-            assert backend.counters["exec.shm_bytes"] > 0
+            tasks = [1, 2, 3]
+            outs = backend.map(_arrays, tasks, parallel=True)
+            for out, want in zip(outs, map(_arrays, tasks)):
+                assert out["task"] == want["task"]
+                for name in ("v", "n"):
+                    assert out[name].dtype == want[name].dtype
+                    np.testing.assert_array_equal(out[name], want[name])
         finally:
             backend.shutdown()
 

@@ -101,6 +101,6 @@ class TestCountersStayOutOfManifests:
     def test_exec_counters_never_enter_manifest_sections(self):
         document = _campaign_manifest(True, max_workers=4).decode()
         assert "exec.pool_reuse" not in document
-        assert "exec.shm_bytes" not in document
-        assert "exec.pickle_bytes" not in document
+        assert "exec.respawns" not in document
+        assert "exec.serial_tasks" not in document
         assert "exec.shards" not in document

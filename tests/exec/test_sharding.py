@@ -1,6 +1,6 @@
 """The adaptive shard planner: chunk sizing, cost model, neutrality."""
 
-from repro.exec import ShardPlanner, decode_result
+from repro.exec import ShardPlanner
 from repro.exec.backend import _run_chunk
 
 
@@ -56,7 +56,7 @@ class TestCostModel:
     def test_telemetry_seeding(self):
         """A pool chunk reports its own wall-clock, which seeds the model."""
         seconds, outs = _run_chunk(abs, [-1, 2, -3, 4])
-        assert [decode_result(o) for o in outs] == [1, 2, 3, 4]
+        assert outs == [1, 2, 3, 4]
         assert seconds >= 0.0
         planner = ShardPlanner()
         planner.observe("f", 4, seconds)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import fig4, fig5, fig6, fig7
-from repro.measurements import AIRPLANE_FIT
 
 
 class TestFig4:

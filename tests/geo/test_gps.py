@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.geo import EnuPoint, GeoPoint, GpsConfig, GpsReceiver, LocalFrame
-from repro.sim import RandomStreams
 
 
 @pytest.fixture

@@ -7,9 +7,8 @@ import pytest
 
 from repro.measurements.batch import (
     BatchCampaignConfig,
-    _decode_group_output,
     _group_shards,
-    _run_group_task,
+    _run_shard_group,
     _shard_store_key,
     run_campaign,
     run_scalar_reference,
@@ -287,7 +286,10 @@ class TestGroupingInvariance:
         shards = config.shards()
 
         def run(group):
-            return _decode_group_output(_run_group_task((config, group, False)))
+            return [
+                ({d: r.tolist() for d, r in arrays.items()}, obs, meta)
+                for arrays, obs, meta in _run_shard_group(config, group)
+            ]
 
         solo = [run([shard])[0] for shard in shards]
         for n_groups in (1, 2, 3, len(shards)):

@@ -1,6 +1,5 @@
 """Tests for the simulated measurement campaigns (reduced scale)."""
 
-import numpy as np
 import pytest
 
 from repro.measurements import (
@@ -10,7 +9,6 @@ from repro.measurements import (
     QuadHoverCampaign,
     QuadSpeedCampaign,
 )
-from repro.sim import SummaryStats
 
 
 class TestCampaignResult:

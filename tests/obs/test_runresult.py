@@ -88,31 +88,32 @@ class TestObsThreading:
         assert counters["faults.link_outage"] == 1
 
 
-class TestLegacy:
-    def test_legacy_solve_warns_and_returns_bare(self):
-        with pytest.warns(DeprecationWarning, match="legacy=True"):
-            decision = solve(scenario("airplane"), legacy=True)
-        assert isinstance(decision, OptimalDecision)
-        assert not isinstance(decision, RunResult)
+class TestOutputs:
+    """Every entry point returns a RunResult; ``.outputs`` is the bare
+    result object."""
 
-    def test_legacy_solve_batch_warns(self):
-        with pytest.warns(DeprecationWarning):
-            result = solve_batch([scenario("airplane")], legacy=True)
-        assert isinstance(result, BatchResult)
+    def test_solve_outputs_decision(self):
+        result = solve(scenario("airplane"))
+        assert isinstance(result, RunResult)
+        assert isinstance(result.outputs, OptimalDecision)
 
-    def test_legacy_sweep_warns(self):
-        with pytest.warns(DeprecationWarning):
-            result = sweep(scenario("airplane"), "mdata_mb", [5.0],
-                           legacy=True)
-        assert isinstance(result, BatchResult)
+    def test_solve_batch_outputs_batch(self):
+        result = solve_batch([scenario("airplane")])
+        assert isinstance(result, RunResult)
+        assert isinstance(result.outputs, BatchResult)
 
-    def test_legacy_chaos_warns(self):
+    def test_sweep_outputs_batch(self):
+        result = sweep(scenario("airplane"), "mdata_mb", [5.0])
+        assert isinstance(result, RunResult)
+        assert isinstance(result.outputs, BatchResult)
+
+    def test_chaos_outputs_chaos_result(self):
         from repro.faults.chaos import ChaosResult
 
         plan = FaultPlan(name="t", seed=1)
-        with pytest.warns(DeprecationWarning):
-            result = chaos(plan, scenario_name="quadrocopter", legacy=True)
-        assert isinstance(result, ChaosResult)
+        result = chaos(plan, scenario_name="quadrocopter")
+        assert isinstance(result, RunResult)
+        assert isinstance(result.outputs, ChaosResult)
 
     def test_default_path_does_not_warn(self, recwarn):
         solve(scenario("airplane"))

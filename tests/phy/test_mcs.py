@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.phy import MCS_TABLE, all_mcs_indices, data_rate_bps, get_mcs
+from repro.phy import all_mcs_indices, data_rate_bps, get_mcs
 
 
 class TestTableStructure:

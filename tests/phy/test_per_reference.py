@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.phy import AERIAL_THRESHOLDS, TEXTBOOK_THRESHOLDS, ErrorModel
+from repro.phy import TEXTBOOK_THRESHOLDS, ErrorModel
 from repro.phy.mcs import all_mcs_indices
 
 from . import reference_per

@@ -1,7 +1,5 @@
 """Property-based tests for the substrate layers."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

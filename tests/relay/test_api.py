@@ -1,4 +1,4 @@
-"""repro.api.solve_relay: envelope, store caching, legacy path."""
+"""repro.api.solve_relay: envelope and store caching."""
 
 import dataclasses
 
@@ -35,12 +35,6 @@ class TestEnvelope:
         assert payload["kind"] == "relay"
         assert payload["config"]["n_hops"] == 2
         assert payload["outputs"]["meets_deadline"] is True
-
-    def test_legacy_returns_bare_decision_with_warning(self, chain,
-                                                       cache_env):
-        with pytest.warns(DeprecationWarning, match="solve_relay"):
-            decision = solve_relay(chain, legacy=True)
-        assert isinstance(decision, RelayDecision)
 
 
 class TestStoreCaching:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator, StopSimulation, Timer
+from repro.sim import SimulationError, StopSimulation, Timer
 
 
 class TestScheduling:

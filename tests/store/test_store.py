@@ -101,6 +101,27 @@ class TestCorruption:
         assert store.stats()["entries"] == 1
         assert store.get(KEY_A) == {"v": 1}
 
+    def test_repair_saves_an_unparseable_index(self, store):
+        store.put(KEY_A, {"v": 1})
+        store.put(KEY_B, {"v": 2})
+        store.index_path.write_text("][")
+        self._corrupt(store, KEY_A, "broken")
+        assert store.verify(repair=True) == {"checked": 2, "corrupt": 1}
+        index = json.loads(store.index_path.read_text())
+        assert sorted(index["entries"]) == [KEY_B]
+        corrupt = store.counters["corrupt"]
+        assert store.stats()["entries"] == 1
+        assert store.counters["corrupt"] == corrupt
+
+    def test_repair_saves_a_missing_index(self, store):
+        store.put(KEY_A, {"v": 1})
+        store.put(KEY_B, {"v": 2})
+        store.index_path.unlink()
+        self._corrupt(store, KEY_B, "broken")
+        assert store.verify(repair=True) == {"checked": 2, "corrupt": 1}
+        index = json.loads(store.index_path.read_text())
+        assert sorted(index["entries"]) == [KEY_A]
+
 
 #: Index documents that parse as JSON but not as an index: a non-dict
 #: entry, a non-int ``size`` or ``tick`` (bools and floats included), a
@@ -155,7 +176,12 @@ class TestMalformedIndex:
         damaged._object_path(KEY_A).write_text("broken")
         assert damaged.verify(repair=True) == {"checked": 2, "corrupt": 1}
         assert damaged.counters["corrupt"] == 2  # the entry, the index
-        assert sorted(damaged._load_index()["entries"]) == [KEY_B]
+        # The repair saved the rebuilt index: the file parses, and a
+        # later read counts no further corrupt index.
+        index = json.loads(damaged.index_path.read_text())
+        assert sorted(index["entries"]) == [KEY_B]
+        assert damaged.stats()["entries"] == 1
+        assert damaged.counters["corrupt"] == 2
         assert damaged.get(KEY_B) == {"v": 2}
 
 
