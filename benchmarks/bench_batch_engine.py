@@ -4,7 +4,10 @@ Measures decisions/second at fleet sizes N in {1, 100, 10000} and the
 speedup of :class:`repro.engine.BatchSolverEngine` over solving each
 scenario with :class:`repro.core.optimizer.DistanceOptimizer` in a
 Python loop, plus the maximum distance deviation between the two
-(must stay within the engine's ``refine_tolerance_m``).  At N = 10k it
+(must stay within the engine's ``refine_tolerance_m``) and the lowest
+ratio of batch to scalar utility (the engine solves log-law rows
+exactly, so it may never lose to the scalar grid kernel by more than
+``UTILITY_FLOOR``).  At N = 10k it
 also checks that a seeded sample of batch rows is bitwise equal, every
 column and ``tolerance_m``, to a fresh engine's one-at-a-time
 ``solve`` (the kernel is row-local, so the batch may not change a bit).
@@ -47,6 +50,9 @@ TARGET_SPEEDUP_10K = 20.0
 
 #: Rows of the N = 10k batch re-solved one at a time for the bitwise check.
 BITWISE_SAMPLE = 1_000
+
+#: Lowest allowed batch utility over the scalar grid kernel's, per row.
+UTILITY_FLOOR = 1.0 - 1e-12
 
 
 def make_fleet(n: int) -> List[Scenario]:
@@ -129,6 +135,9 @@ def measure(n: int) -> dict:
         abs(batch[i].distance_m - d.distance_m)
         for i, d in enumerate(scalar)
     )
+    min_utility_ratio = min(
+        batch[i].utility / d.utility for i, d in enumerate(scalar)
+    )
     return {
         "n": n,
         "batch_s": batch_s,
@@ -137,6 +146,7 @@ def measure(n: int) -> dict:
         "speedup": scalar_s / batch_s,
         "max_deviation_m": max_dev,
         "tolerance_m": engine.refine_tolerance_m,
+        "min_utility_ratio": min_utility_ratio,
         "bitwise_mismatches": (
             bitwise_mismatches(fleet, batch) if n >= 10_000 else 0
         ),
@@ -158,15 +168,19 @@ def main() -> int:
     final = results[-1]
     ok = final["speedup"] >= TARGET_SPEEDUP_10K
     within = all(r["max_deviation_m"] <= r["tolerance_m"] for r in results)
+    floor_ok = all(r["min_utility_ratio"] >= UTILITY_FLOOR for r in results)
     bitwise = final["bitwise_mismatches"] == 0
     print(
         f"\nN=10k target >= {TARGET_SPEEDUP_10K:.0f}x: "
         f"{'PASS' if ok else 'FAIL'} ({final['speedup']:.1f}x); "
         f"deviations within refine tolerance: {'yes' if within else 'NO'}; "
+        f"batch utility >= scalar x (1 - 1e-12): "
+        f"{'yes' if floor_ok else 'NO'} "
+        f"(min ratio - 1 = {min(r['min_utility_ratio'] for r in results) - 1:.1e}); "
         f"{BITWISE_SAMPLE} sampled rows bitwise equal to per-row solve: "
         f"{'yes' if bitwise else 'NO (%d differ)' % final['bitwise_mismatches']}"
     )
-    return 0 if ok and within and bitwise else 1
+    return 0 if ok and within and floor_ok and bitwise else 1
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +198,7 @@ def test_batch_engine_n10k_beats_scalar_20x(benchmark):
     r = benchmark.pedantic(measure, args=(10_000,), rounds=1, iterations=1)
     assert r["speedup"] >= TARGET_SPEEDUP_10K
     assert r["max_deviation_m"] <= r["tolerance_m"]
+    assert r["min_utility_ratio"] >= UTILITY_FLOOR
     assert r["bitwise_mismatches"] == 0
 
 

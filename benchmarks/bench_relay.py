@@ -42,7 +42,7 @@ TARGET_SPEEDUP_10K = 10.0
 #: ``fleet_digest`` of the N = 10k fleet's batch result.  Any change to
 #: a solved value, a policy or the JSON shape of a decision moves it.
 FLEET_10K_SHA256 = (
-    "dfbb40faebe06c0184c94a350bc9b572b19cdc4087530142d141869873234cb4"
+    "5f09f7ad5f2f6ba68f9f0ea3c2b4d70b9dadb23ed52b96b5491b810a8d2216c8"
 )
 
 

@@ -1,24 +1,42 @@
 """Solving Eq. 2: ``dopt = argmax U(d)``, ``d_min <= d <= d0``.
 
 The paper notes ``U`` is approximately concave for small rho but not in
-general, so a pure local method is unsafe.  :func:`argmax_utility` is
-the one Eq. 2 kernel: a dense grid scan brackets each row's global
-maximum, a vectorised ternary search refines the bracket, and rows
-whose bracket turns out non-unimodal are rescanned on a finer sub-grid.
-Every step depends on the row alone, so a row's answer never depends
-on which other rows share its batch.
+general, so a pure local method is unsafe.  Two kernels solve it:
+
+* :func:`certified_argmax` is exact on the paper's log-law fits
+  (``s(d) = a log2 d + b`` with ``a < 0``).  A per-row branch-and-bound
+  over distance cells proves where ``d log U/dd`` can change sign, a
+  safeguarded Newton solve finds each interior maximum, and the answer
+  is the best of the boundaries and those roots.  A row the certificate
+  cannot settle within its depth is reported uncertified.
+* :func:`argmax_utility` is the grid kernel for every other row (table
+  and speed-scaled laws, rising log laws, uncertified rows): a dense
+  grid scan brackets each row's global maximum, a vectorised ternary
+  search refines the bracket, and rows whose bracket turns out
+  non-unimodal are rescanned on a finer sub-grid.
+
+Both snap to a boundary through one rule, and every step of either
+depends on the row alone, so a row's answer never depends on which
+other rows share its batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict
 
 import numpy as np
 
+from .throughput import MIN_THROUGHPUT_BPS
 from .utility import DelayedGratificationUtility, UtilityBreakdown
 
-__all__ = ["OptimalDecision", "DistanceOptimizer", "argmax_utility"]
+__all__ = [
+    "OptimalDecision",
+    "DistanceOptimizer",
+    "argmax_utility",
+    "certified_argmax",
+]
 
 #: Hard ceiling on grid columns per row, so one huge-span scenario
 #: cannot blow up a batch's memory.
@@ -34,6 +52,20 @@ _SCAN_CELLS = 1 << 17
 #: near d0 otherwise leave the solution a hair inside the range,
 #: muddying the 'transmit immediately' case with model-noise-level gains.
 _SNAP_REL = 1e-4
+
+#: Children an undecided certificate cell splits into, and the splits
+#: of a row's first cell allowed before the row counts as uncertified.
+_CERT_SPLIT = 4
+_CERT_DEPTH = 9
+
+#: Relative margin on every certificate test, far above the rounding
+#: of the bounds, so no rounding can flip a sign or drop a cell.
+_CERT_MARGIN = 1e-9
+
+#: Newton/bisection steps per root at most, and the step below which a
+#: root counts as converged.
+_ROOT_ITERS = 100
+_ROOT_XTOL_M = 1e-9
 
 _Utility = Callable[[np.ndarray], np.ndarray]
 
@@ -155,15 +187,259 @@ def argmax_utility(
         pick = np.where(rescan_u >= np.maximum(sub_u, grid_best_u), rescan, pick)
         best = np.where(suspect, pick, best)
 
-    # Boundary snapping (d0 wins ties).
+    return _snap(best, d_min, d0, utility, ~degenerate), rescan_rows
+
+
+def _snap(
+    best: np.ndarray,
+    d_min: np.ndarray,
+    d0: np.ndarray,
+    utility: _Utility,
+    active: np.ndarray,
+) -> np.ndarray:
+    """Snap each active row's ``best`` to ``d_min``, then to ``d0``,
+    when that boundary is within ``_SNAP_REL`` of its utility (``d0``
+    wins ties)."""
     best_u = utility(best)
     u_floor = utility(d_min)
     u_ceil = utility(d0)
-    snap_floor = (~degenerate) & (u_floor >= best_u * (1.0 - _SNAP_REL))
+    snap_floor = active & (u_floor >= best_u * (1.0 - _SNAP_REL))
     best = np.where(snap_floor, d_min, best)
     best_u = np.where(snap_floor, u_floor, best_u)
-    snap_ceil = (~degenerate) & (u_ceil >= best_u * (1.0 - _SNAP_REL))
-    return np.where(snap_ceil, d0, best), rescan_rows
+    snap_ceil = active & (u_ceil >= best_u * (1.0 - _SNAP_REL))
+    return np.where(snap_ceil, d0, best)
+
+
+class _LogLaw:
+    """Eq. 1 on log-law rows, ``s(d) = 1e6 (slope log2 d + intercept)``
+    bit/s with ``slope < 0``, gathered per (row, cell) pair.
+
+    Below the clamp distance ``s`` is positive and falls as
+    ``ds/dd = -A/d``.  There the sign of ``d log U/dd`` is the sign of
+    ``g = rho C + 1/v - q``, with ``C = (d0 - d)/v + M/s`` and
+    ``q = K/(d s^2)``, ``K = M A``.  As ``(d s^2)' = s (s - 2A)``,
+    ``d s^2`` rises until ``s = 2A`` (at ``d_peak``) and falls after,
+    and ``g' = q (rho + t/d) - rho/v`` with ``t = 1 - 2A/s``.
+    """
+
+    def __init__(self, d0, speed, bits, rho, slope, intercept) -> None:
+        self.d0 = d0
+        self.inv_v = 1.0 / speed
+        self.bits = bits
+        self.rho = rho
+        self.slope = slope
+        self.intercept = intercept
+        self.a = slope * (-1e6 / math.log(2.0))
+        self.k = bits * self.a
+        # A nearly flat fit peaks at infinity, outside every cell.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.d_peak = np.exp2((2e-6 * self.a - intercept) / slope)
+            self.m_peak = self.d_peak * (2.0 * self.a) ** 2
+
+    def take(self, rows: np.ndarray) -> "_LogLaw":
+        """The coefficients of ``rows``, one entry per index."""
+        law = object.__new__(_LogLaw)
+        for name, column in vars(self).items():
+            setattr(law, name, column[rows])
+        return law
+
+    def throughput(self, d: np.ndarray) -> np.ndarray:
+        """Unclamped ``s(d)``, rounded as the engine's throughput is."""
+        s = np.log2(d)
+        s *= self.slope
+        s += self.intercept
+        s *= 1e6
+        return s
+
+    def g_and_gprime(self, d: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """``(g(d), g'(d))`` pointwise."""
+        s = self.throughput(d)
+        q = self.k / (d * s * s)
+        g = self.rho * ((self.d0 - d) * self.inv_v + self.bits / s)
+        g += self.inv_v - q
+        gp = q * (self.rho + (1.0 - 2.0 * self.a / s) / d)
+        gp -= self.rho * self.inv_v
+        return g, gp
+
+    def bounds(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> "tuple[np.ndarray, ...]":
+        """Bounds over cells ``[lo, hi]`` below the clamp: ``(U_hi,
+        U(lo), g_lo, g_hi, g_scale, g'_lo, g'_hi, g'_scale)``, where a
+        ``_scale`` sums the magnitudes of the terms its bounds add.
+
+        On a cell ``d`` rises and ``s`` falls, so ``C``, ``U`` and ``t/d``
+        are bounded through monotone factors at the cell's corners, and
+        ``q`` exactly through the one peak of ``d s^2``.
+        """
+        s_lo = self.throughput(lo)  # the larger throughput
+        s_hi = self.throughput(hi)
+        m_lo = lo * s_lo * s_lo
+        m_hi = hi * s_hi * s_hi
+        peak = (lo < self.d_peak) & (self.d_peak < hi)
+        q_min = self.k / np.where(peak, self.m_peak, np.maximum(m_lo, m_hi))
+        q_max = self.k / np.minimum(m_lo, m_hi)
+        c_lo = (self.d0 - hi) * self.inv_v + self.bits / s_lo
+        c_hi = (self.d0 - lo) * self.inv_v + self.bits / s_hi
+        g_lo = self.rho * c_lo + self.inv_v - q_max
+        g_hi = self.rho * c_hi + self.inv_v - q_min
+        g_scale = self.rho * c_hi + self.inv_v + q_max
+        # t falls with d; t/d takes its extremes at the corners that
+        # match t's sign.
+        t_lo = 1.0 - 2.0 * self.a / s_hi
+        t_hi = 1.0 - 2.0 * self.a / s_lo
+        psi_lo = t_lo / np.where(t_lo < 0.0, lo, hi)
+        psi_hi = t_hi / np.where(t_hi > 0.0, lo, hi)
+        phi_lo = self.rho + psi_lo
+        phi_hi = self.rho + psi_hi
+        rho_v = self.rho * self.inv_v
+        gp_lo = phi_lo * np.where(phi_lo < 0.0, q_max, q_min) - rho_v
+        gp_hi = phi_hi * np.where(phi_hi > 0.0, q_max, q_min) - rho_v
+        gp_scale = q_max * (self.rho + np.maximum(-psi_lo, psi_hi)) + rho_v
+        return (
+            np.exp(-self.rho * (self.d0 - hi)) / c_lo,
+            np.exp(-self.rho * (self.d0 - lo))
+            / ((self.d0 - lo) * self.inv_v + self.bits / s_lo),
+            g_lo, g_hi, g_scale, gp_lo, gp_hi, gp_scale,
+        )
+
+
+def _split(
+    row: np.ndarray, lo: np.ndarray, hi: np.ndarray, parts: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Each cell ``[lo, hi]`` of ``row`` as ``parts`` equal children, in
+    order; the last child ends exactly at ``hi``."""
+    width = (hi - lo) / parts
+    edges = lo[:, None] + width[:, None] * np.arange(parts)
+    child_hi = np.concatenate((edges[:, 1:], hi[:, None]), axis=1)
+    return np.repeat(row, parts), edges.ravel(), child_hi.ravel()
+
+
+def _roots(
+    law: _LogLaw, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """The root of ``g`` in each cell ``[lo, hi]`` with ``g(lo) >= 0 >=
+    g(hi)`` and ``g`` falling: safeguarded Newton, bisecting whenever a
+    step leaves the bracket.  Each cell stops on its own."""
+    lo = lo.copy()
+    hi = hi.copy()
+    x = 0.5 * (lo + hi)
+    active = np.nonzero(hi - lo > _ROOT_XTOL_M)[0]
+    for _ in range(_ROOT_ITERS):
+        if active.size == 0:
+            break
+        xa, la, ha = x[active], lo[active], hi[active]
+        g, gp = law.take(active).g_and_gprime(xa)
+        rising = g > 0.0
+        la = np.where(rising, xa, la)
+        ha = np.where(rising, ha, xa)
+        newton = xa - g / gp
+        inside = (newton > la) & (newton < ha)
+        nxt = np.where(inside, newton, 0.5 * (la + ha))
+        lo[active], hi[active], x[active] = la, ha, nxt
+        done = (np.abs(nxt - xa) <= _ROOT_XTOL_M) | (ha - la <= _ROOT_XTOL_M)
+        active = active[~done]
+    return x
+
+
+def certified_argmax(
+    d_min: np.ndarray,
+    d0: np.ndarray,
+    speed: np.ndarray,
+    bits: np.ndarray,
+    rho: np.ndarray,
+    slope: np.ndarray,
+    intercept: np.ndarray,
+    utility: _Utility,
+    tolerance_m: float,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Each log-law row's exact ``argmax U(d)`` over ``[d_min, d0]``.
+
+    Row ``i`` has ``s(d) = max(MIN_THROUGHPUT_BPS, 1e6 (slope[i] log2 d
+    + intercept[i]))`` with ``slope[i] < 0``; ``utility`` evaluates
+    ``U`` on row-aligned distances as :func:`argmax_utility`'s does.
+    Past the clamp distance ``d_c`` ``U`` rises, so ``d0`` is the only
+    candidate there.  On ``[d_min, min(d0, d_c)]`` a branch-and-bound
+    over cells drops every cell whose utility bound falls below the best
+    edge utility seen or on which ``d log U/dd`` keeps one sign, and
+    stops splitting a cell once ``g'`` keeps one sign (at most one root).
+    The candidates are ``d_min``, ``min(d0, d_c)``, ``d0`` and the root
+    of every cell where ``g`` falls through zero; the best one is
+    snapped to a boundary as :func:`argmax_utility` snaps.
+
+    Returns ``(best, certified)``.  A row whose cells are not all
+    settled within ``_CERT_DEPTH`` splits is uncertified, and its
+    ``best`` is meaningless.  Rows narrower than ``tolerance_m`` pin
+    ``d_min``, as in :func:`argmax_utility`.
+    """
+    n = len(d_min)
+    law = _LogLaw(d0, speed, bits, rho, slope, intercept)
+    with np.errstate(over="ignore"):  # a flat fit never clamps
+        d_clamp = np.exp2((MIN_THROUGHPUT_BPS / 1e6 - intercept) / slope)
+    top = np.minimum(d0, np.maximum(d_clamp, d_min))
+    candidates = [d_min, top, d0]
+    values = [utility(c) for c in candidates]
+    u_best = np.maximum(np.maximum(values[0], values[1]), values[2])
+
+    degenerate = d0 - d_min <= tolerance_m
+    open_rows = np.nonzero(~degenerate & (top > d_min))[0]
+    row, lo, hi = open_rows, d_min[open_rows], top[open_rows]
+    root_row, root_lo, root_hi = [row[:0]], [lo[:0]], [hi[:0]]
+    for level in range(_CERT_DEPTH + 1):
+        if row.size == 0:
+            break
+        cells = law.take(row)
+        u_hi, u_at_lo, g_lo, g_hi, g_scale, gp_lo, gp_hi, gp_scale = (
+            cells.bounds(lo, hi)
+        )
+        np.maximum.at(u_best, row, u_at_lo)
+        margin_g = _CERT_MARGIN * g_scale
+        margin_gp = _CERT_MARGIN * gp_scale
+        keep = (
+            (u_hi >= u_best[row] * (1.0 - _CERT_MARGIN))
+            & (g_lo <= margin_g)
+            & (g_hi >= -margin_g)
+        )
+        falling = keep & (gp_hi < -margin_gp)
+        # A falling g crosses zero at most once: a lone maximum of U
+        # when g(lo) >= 0 >= g(hi), no interior maximum otherwise.
+        lone = np.nonzero(falling)[0]
+        ends = cells.take(lone)
+        crosses = (ends.g_and_gprime(lo[lone])[0] >= 0.0) & (
+            ends.g_and_gprime(hi[lone])[0] <= 0.0
+        )
+        lone = lone[crosses]
+        root_row.append(row[lone])
+        root_lo.append(lo[lone])
+        root_hi.append(hi[lone])
+        split = keep & ~falling & (gp_lo <= margin_gp)
+        if level < _CERT_DEPTH:
+            row, lo, hi = _split(row[split], lo[split], hi[split], _CERT_SPLIT)
+        else:
+            row = row[split]
+
+    certified = np.ones(n, dtype=bool)
+    certified[row] = False
+    root_row = np.concatenate(root_row)
+    if root_row.size:
+        x = _roots(
+            law.take(root_row), np.concatenate(root_lo), np.concatenate(root_hi)
+        )
+        # One column per root of a row, in the order found; rows with
+        # fewer roots are padded with their own d_min.
+        order = np.argsort(root_row, kind="stable")
+        root_row, x = root_row[order], x[order]
+        counts = np.bincount(root_row, minlength=n)
+        rank = np.arange(root_row.size) - (np.cumsum(counts) - counts)[root_row]
+        found = np.repeat(d_min[:, None], int(counts.max()), axis=1)
+        found[root_row, rank] = x
+        candidates.extend(found.T)
+        values.extend(utility(found).T)
+    # The first best candidate wins; snapping then settles ties.
+    pick = np.argmax(np.column_stack(values), axis=1)
+    best = np.column_stack(candidates)[np.arange(n), pick]
+    best = np.where(degenerate, d_min, best)
+    return _snap(best, d_min, d0, utility, ~degenerate), certified
 
 
 @dataclass(frozen=True)
@@ -212,8 +488,10 @@ class OptimalDecision:
 
 
 class DistanceOptimizer:
-    """One-instance Eq. 2 solver: :func:`argmax_utility` at N=1 over any
-    :class:`DelayedGratificationUtility`, evaluated elementwise."""
+    """One-instance Eq. 2 solver: the grid kernel :func:`argmax_utility`
+    at N=1 over any :class:`DelayedGratificationUtility`, evaluated
+    elementwise.  It is the scalar reference the batch engine's exact
+    log-law path is held to."""
 
     def __init__(
         self,

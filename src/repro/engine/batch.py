@@ -2,19 +2,24 @@
 
 The fleet-scale workloads the related work frames (thousands of
 ``(Mdata, v, rho, d0)`` instances per request stream) are solved N
-scenarios per NumPy pass, through the one Eq. 2 kernel
-:func:`~repro.core.optimizer.argmax_utility`:
+scenarios per NumPy pass.  Scenarios become parameter arrays, and the
+utility ``U(d) = exp(-rho (d0 - d)) / ((d0 - d)/v + Mdata/s(d))`` is
+evaluated on row-aligned distance arrays:
 
-1. **Stacked grid scan** — scenarios become parameter arrays; the
-   utility ``U(d) = exp(-rho (d0 - d)) / ((d0 - d)/v + Mdata/s(d))``
-   is evaluated on an ``N x G`` matrix of distances, each row on its
-   own span-sized grid, bracketing each instance's argmax.
-2. **Vectorised ternary search** — every bracket is shrunk
-   simultaneously by comparing interior utility probes.
-3. **Non-concave rows** — instances whose refinement loses to their
+1. **Exact log-law rows** — rows on a falling log-law fit (both of the
+   paper's) go to :func:`~repro.core.optimizer.certified_argmax`: a
+   per-row branch-and-bound over distance cells, vectorised over
+   (row, cell) pairs, proves where ``d log U/dd`` can change sign, and
+   a safeguarded Newton solve finds each interior maximum.
+2. **Grid kernel** — every other row (table, speed-scaled and rising
+   log-law laws) and every row the certificate cannot settle goes to
+   :func:`~repro.core.optimizer.argmax_utility`: a stacked grid scan on
+   each row's own span-sized grid brackets the argmax, and a
+   vectorised ternary search shrinks every bracket at once.
+3. **Non-concave rows** — grid rows whose refinement loses to their
    grid candidate (the edge cases the paper warns about) get one
    vectorised rescan of their bracket on a finer sub-grid; there is no
-   scalar fallback.
+   scalar fallback.  Both kernels share one boundary-snap rule.
 4. **Memoisation** — solved instances are cached by their full
    parameter tuple in an LRU whose values are plain 9-float row tuples
    (one per result column), so planners re-solving the same geometry
@@ -40,6 +45,7 @@ scenarios per NumPy pass, through the one Eq. 2 kernel
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass, fields
 from typing import (
@@ -55,7 +61,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.optimizer import OptimalDecision, argmax_utility
+from ..core.optimizer import OptimalDecision, argmax_utility, certified_argmax
 from ..core.scenario import ScenarioSweep, require_finite, sweep_rows
 from ..core.throughput import (
     LogFitThroughput,
@@ -197,7 +203,18 @@ class _Params:
         self.other_rows = np.nonzero(~logfit)[0]
 
     def __len__(self) -> int:
-        return len(self.scenarios)
+        return len(self.dmin)
+
+    def take(self, rows: np.ndarray) -> "_Params":
+        """The rows ``rows`` (indices) as their own parameter block."""
+        sub = copy.copy(self)
+        sub.models = [self.models[i] for i in rows.tolist()]
+        for name in (
+            "dmin", "d0", "v", "bits", "rho", "slope", "intercept", "logfit_mask"
+        ):
+            setattr(sub, name, getattr(self, name)[rows])
+        sub.other_rows = np.nonzero(~sub.logfit_mask)[0]
+        return sub
 
     def validate(self) -> None:
         """Raise the Eq. 2 constraint error of the first offending row."""
@@ -378,7 +395,7 @@ class BatchSolverEngine:
         rows = self._cache.get_many(keys)
         miss_idx = [i for i, row in enumerate(rows) if row is None]
         block = np.empty((_N_COLUMNS, n))
-        rescan_rows = 0
+        rescan_rows = uncertified_rows = 0
         if len(miss_idx) < n:
             hit_idx = [i for i, row in enumerate(rows) if row is not None]
             block[:, hit_idx] = np.array([rows[i] for i in hit_idx]).T
@@ -405,8 +422,9 @@ class BatchSolverEngine:
                 )
             else:
                 solved_chunks = [self._solve_chunk(chunk) for chunk in chunks]
-            rescan_rows = sum(rescans for _, rescans in solved_chunks)
-            solved = np.concatenate([cols for cols, _ in solved_chunks], axis=1)
+            rescan_rows = sum(chunk[1] for chunk in solved_chunks)
+            uncertified_rows = sum(chunk[2] for chunk in solved_chunks)
+            solved = np.concatenate([chunk[0] for chunk in solved_chunks], axis=1)
             block[:, miss_idx] = solved
             self._cache.put_many(
                 zip([keys[i] for i in miss_idx], zip(*solved.tolist()))
@@ -421,6 +439,8 @@ class BatchSolverEngine:
                 metrics.counter("engine.cache.misses").inc(len(miss_idx))
             if rescan_rows:
                 metrics.counter("engine.rescan_rows").inc(rescan_rows)
+            if uncertified_rows:
+                metrics.counter("engine.uncertified_rows").inc(uncertified_rows)
             metrics.counter("engine.batches").inc()
             metrics.histogram(
                 "engine.batch.size", _BATCH_SIZE_EDGES
@@ -529,26 +549,46 @@ class BatchSolverEngine:
 
     def _solve_chunk(
         self, scenarios: Sequence["Scenario"]
-    ) -> Tuple[np.ndarray, int]:
-        """The Eq. 2 kernel over one chunk of scenarios.
+    ) -> Tuple[np.ndarray, int, int]:
+        """The Eq. 2 kernels over one chunk of scenarios.
 
-        Returns the ``(9, n)`` result block (rows in :class:`BatchResult`
-        field order) and how many rows took the non-concave rescan (see
-        :func:`~repro.core.optimizer.argmax_utility`).
+        Falling log-law rows take the exact
+        :func:`~repro.core.optimizer.certified_argmax`; every row it
+        cannot certify, and every other row, takes the grid kernel
+        :func:`~repro.core.optimizer.argmax_utility`.  Returns the
+        ``(9, n)`` result block (rows in :class:`BatchResult` field
+        order), how many rows took the grid kernel's non-concave rescan
+        and how many took the grid kernel at all (uncertified rows).
         """
         params = _Params(scenarios)
         params.validate()
-        best, rescan_rows = argmax_utility(
-            params.dmin,
-            params.d0,
-            params.utility,
-            self.grid_step_m,
-            self.refine_tolerance_m,
-        )
+        best = np.empty(len(params))
+        grid = ~(params.logfit_mask & (params.slope < 0.0))
+        exact = np.nonzero(~grid)[0]
+        if exact.size:
+            sub = params if exact.size == len(params) else params.take(exact)
+            found, certified = certified_argmax(
+                sub.dmin, sub.d0, sub.v, sub.bits, sub.rho,
+                sub.slope, sub.intercept, sub.utility,
+                self.refine_tolerance_m,
+            )
+            best[exact] = found
+            grid[exact[~certified]] = True
+        rest = np.nonzero(grid)[0]
+        rescan_rows = 0
+        if rest.size:
+            sub = params if rest.size == len(params) else params.take(rest)
+            best[rest], rescan_rows = argmax_utility(
+                sub.dmin,
+                sub.d0,
+                sub.utility,
+                self.grid_step_m,
+                self.refine_tolerance_m,
+            )
         block = np.stack(
             (best, *params.breakdown(best), params.d0, params.v, params.bits)
         )
-        return block, rescan_rows
+        return block, rescan_rows, int(rest.size)
 
 
 def _check_scenario(s: "Scenario") -> None:

@@ -275,7 +275,10 @@ class ExecBackend:
 
         For GIL-releasing NumPy stages (the batch engine's chunk
         fan-out).  Pools are cached per width so callers pinning
-        ``max_workers`` keep getting the width they asked for.
+        ``max_workers`` keep getting the width they asked for.  When a
+        task raises, the tasks not yet started are cancelled and the
+        running ones finish before the error propagates, so a failed
+        call leaves no work behind.
         """
         self._fork_guard()
         key = int(max_workers) if max_workers else 0
@@ -285,7 +288,14 @@ class ExecBackend:
             self._thread_pools[key] = pool
         else:
             self.counters["exec.pool_reuse"] += 1
-        return list(pool.map(fn, tasks))
+        submitted = [pool.submit(fn, task) for task in tasks]
+        try:
+            return [future.result() for future in submitted]
+        except BaseException:
+            for future in submitted:
+                future.cancel()
+            futures.wait(submitted)
+            raise
 
 
 # ----------------------------------------------------------------------

@@ -822,8 +822,8 @@ SWEEP_PARAMS = sorted(SWEEP_VALUES)
 
 
 class TestNonFiniteNeverReachesKernel:
-    """Whatever mix of values a caller passes, the Eq. 2 kernel only
-    ever sees finite parameter columns and a positive safety floor: a
+    """Whatever mix of values a caller passes, the Eq. 2 kernels only
+    ever see finite parameter columns and a positive safety floor: a
     non-finite value or a floor ``<= 0`` raises a ``ValueError`` before
     any solve."""
 
@@ -846,9 +846,10 @@ class TestNonFiniteNeverReachesKernel:
             import repro.engine.batch as engine_module
 
             seen = []
-            kernel = engine_module.argmax_utility
+            grid_kernel = engine_module.argmax_utility
+            exact_kernel = engine_module.certified_argmax
 
-            def spy(dmin, d0, utility, *args):
+            def finite(dmin, d0, utility):
                 params = utility.__self__
                 seen.append(
                     all(
@@ -857,12 +858,22 @@ class TestNonFiniteNeverReachesKernel:
                     )
                     and (dmin > 0).all()
                 )
-                return kernel(dmin, d0, utility, *args)
+
+            def grid_spy(dmin, d0, utility, *args):
+                finite(dmin, d0, utility)
+                return grid_kernel(dmin, d0, utility, *args)
+
+            def exact_spy(dmin, d0, v, bits, rho, slope, intercept, utility, tol):
+                finite(dmin, d0, utility)
+                return exact_kernel(
+                    dmin, d0, v, bits, rho, slope, intercept, utility, tol
+                )
 
             base = airplane_scenario()
-            # Extreme finite values may still warn inside the kernel.
+            # Extreme finite values may still warn inside the kernels.
             with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
-                patch.setattr(engine_module, "argmax_utility", spy)
+                patch.setattr(engine_module, "argmax_utility", grid_spy)
+                patch.setattr(engine_module, "certified_argmax", exact_spy)
                 try:
                     if as_list:
                         fresh_engine().solve_batch(

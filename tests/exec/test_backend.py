@@ -1,8 +1,11 @@
 """ExecBackend: ordered maps, pool reuse, degradation, crash recovery."""
 
 import os
+import threading
+import time
 
 import numpy as np
+import pytest
 
 from repro.exec import (
     ExecBackend,
@@ -98,6 +101,42 @@ class TestMap:
             before = backend.counters["exec.pool_reuse"]
             backend.thread_map(_double, range(9))
             assert backend.counters["exec.pool_reuse"] == before + 1
+        finally:
+            backend.shutdown()
+
+    def test_failed_thread_map_leaves_no_work_behind(self):
+        # Task 0 raises only once task 1 is running (both pass the
+        # barrier); task 1 then outlives the raise by 0.2 s.  The call
+        # must not return before every started task has finished, and
+        # no task may start afterwards.
+        barrier = threading.Barrier(2, timeout=10)
+        lock = threading.Lock()
+        started, finished = set(), set()
+
+        def task(i):
+            with lock:
+                started.add(i)
+            if i == 0:
+                barrier.wait()
+                raise ValueError("chunk 0 failed")
+            if i == 1:
+                barrier.wait()
+                time.sleep(0.2)
+            with lock:
+                finished.add(i)
+            return i
+
+        backend = ExecBackend()
+        try:
+            with pytest.raises(ValueError, match="chunk 0 failed"):
+                backend.thread_map(task, range(8), max_workers=2)
+            with lock:
+                assert started - finished == {0}
+                seen = set(started)
+            # The pool queue is FIFO: a later call runs after anything
+            # left queued by the failed one.
+            assert backend.thread_map(_double, [1], max_workers=2) == [2]
+            assert started == seen
         finally:
             backend.shutdown()
 

@@ -236,16 +236,16 @@ CAP_HOPS = (
 #: chosen policies, captured from the per-chain DP.
 CAP_PINNED = {
     None: (
-        "2fa4a6a37c79c5fe20f9e58639ecbced6fbbbebad5d8e72a9b360415296812ac",
+        "dc7db75ac671ad91a9ee2cd7f6b88da0e58bf944cd637ca7700cd5acc69aafad",
         ("closest", "now", "optimal", "optimal", "closest", "optimal",
          "closest", "optimal"),
-        1.3876113522142627e-06,
+        1.387611353631601e-06,
     ),
     150.0: (
-        "cdbed0f37cd4c3acd23eea63bf4a002cbb61ecd9ba6e1b9d61dbd590acf4de19",
+        "2be58877cf7f567e2a233479345e46c87e8947e8e82bd64d4a78dca5bb5b39cf",
         ("closest", "now", "closest", "closest", "optimal", "optimal",
          "now", "optimal"),
-        7.801876942520559e-08,
+        7.801877911615938e-08,
     ),
     120.0: (
         "3cee0934489621c12c5903a5c64e5e77a0e9767adb5de4d5188e1bcb10c62570",

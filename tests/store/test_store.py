@@ -241,7 +241,7 @@ PIN_KEY = "5a" * 32
 #: entry's manifest has ``git_rev`` cleared (it names the checkout).
 ENTRY_PINS = {
     "eq2.sweep":
-        "94d24ef490c3faba7f2103f7ea117eb3fc186af1f68a2e232aeee53afc78c0d2",
+        "1e14d3c4e33f54c4cdbe2b091136220be4f9397f64ce93e8afd82624fa592f75",
     "campaign.shard":
         "5e174f4d3264b3655bd52adfbd9a265e914aef3edba49f8de0824a784209817d",
     "chaos.run":
