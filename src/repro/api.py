@@ -379,8 +379,9 @@ def chaos(
     if store is not None:
         key = _chaos_store_key(plan, scenario_name, seed, kwargs)
     if key is not None and not refresh:
-        body = store.get(key)
-        if body is not None:
+        entry = store.get(key)
+        if entry is not None:
+            body, _ = entry
             try:
                 result = ChaosResult.from_dict(body["result"])
                 manifest = RunManifest.from_dict(body["manifest"])
@@ -453,8 +454,9 @@ def solve_relay(
     if store is not None:
         key = _relay_store_key(chain, eng)
     if key is not None and not refresh:
-        body = store.get(key)
-        if body is not None:
+        entry = store.get(key)
+        if entry is not None:
+            body, _ = entry
             try:
                 result = RelayDecision.from_dict(body["result"])
                 manifest = RunManifest.from_dict(body["manifest"])

@@ -436,18 +436,20 @@ def _shard_store_body(
 def _restore_shard(
     shard: int,
     distances_m: Tuple[float, ...],
-    body: Optional[dict],
+    entry: Optional[Tuple[dict, memoryview]],
     collect_obs: bool,
 ) -> Optional[ShardOutput]:
     """Rehydrate one shard's worker output from a store entry.
 
     Returns the same 3-tuple a live worker produces (samples in the
     worker's insertion order, a rebuilt deterministic obs context, the
-    replay meta with its counters) or ``None`` when the body is
-    malformed — the caller then just re-runs the shard.
+    replay meta with its counters) or ``None`` when the entry is
+    missing or its body malformed — the caller then just re-runs the
+    shard.
     """
-    if body is None:
+    if entry is None:
         return None
+    body, _ = entry
     try:
         steps = int(body["steps"])
         sim_end_s = float(body["sim_end_s"])

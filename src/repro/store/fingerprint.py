@@ -1,7 +1,7 @@
 """Deterministic cache keys for the persistent result store.
 
 A store key must change whenever *anything* that shapes the result
-changes, and only then.  Three ingredients go into every key:
+changes, and only then.  Four ingredients go into every key:
 
 * a **canonical-JSON config fingerprint** of the problem parameters
   (scenario/solver/campaign/fault-plan fields, plus the seed where one
@@ -12,12 +12,17 @@ changes, and only then.  Three ingredients go into every key:
   on any change to the entry payload layout;
 * a **code fingerprint** of the modules that produce the result, so a
   code change silently invalidates every stale entry instead of
-  serving results a fixed bug would no longer produce.
+  serving results a fixed bug would no longer produce;
+* the **NumPy build** (:func:`numpy_build`): its version and the SIMD
+  targets its loops dispatch to on this CPU, since both shape the last
+  bits of ``log``, ``exp`` and ``power`` — a key pins one NumPy build
+  on one SIMD path, so a store shared across hosts or upgrades never
+  serves another path's bits.
 
 The code fingerprint hashes the *source bytes* of the named modules
 (packages are walked recursively, sorted), which over-invalidates on
 comment-only edits — the safe direction — and is computed once per
-process per module set.
+process per module set; the NumPy build once per process.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -37,10 +43,11 @@ __all__ = [
     "canonical_json",
     "code_fingerprint",
     "config_key",
+    "numpy_build",
 ]
 
 #: Bumped on any backwards-incompatible change to store entry payloads.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 # The four result tuples below must cover the static import closure
 # of their entry module — reprolint rule RL108 (fingerprint-
@@ -160,6 +167,26 @@ def code_fingerprint(modules: Tuple[str, ...]) -> str:
     return fingerprint
 
 
+@lru_cache(maxsize=None)
+def numpy_build() -> Dict[str, object]:
+    """NumPy's version and its active dispatch targets (once per process).
+
+    The targets are the entries of ``__cpu_dispatch__`` that
+    ``__cpu_features__`` reports enabled — the "found" SIMD extensions
+    of ``np.show_runtime()``, after any ``NPY_DISABLE_CPU_FEATURES``.
+    """
+    import numpy
+    from numpy._core._multiarray_umath import (
+        __cpu_dispatch__,
+        __cpu_features__,
+    )
+
+    return {
+        "version": numpy.__version__,
+        "simd": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+    }
+
+
 def config_key(
     kind: str,
     config: object,
@@ -180,6 +207,7 @@ def config_key(
                 "kind": kind,
                 "schema": STORE_SCHEMA_VERSION,
                 "code": code_fingerprint(code_modules),
+                "numpy": numpy_build(),
                 "config": config,
             }
         ).encode("utf-8")

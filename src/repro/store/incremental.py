@@ -13,8 +13,17 @@ Entries hold *groups* of solved points, not single points: a warm
 re-run of an 8k-point sweep must cost a handful of file reads, not 8k.
 Small batches (``<= _POINT_GROUP_LIMIT`` points) use groups of one so
 planner-style workloads get true point-level reuse; large batches use
-groups of ``_GROUP_SIZE`` (2048) points.  Decision columns are stored as base64-encoded little-endian
-float64 — exact round-trip, no JSON float parsing on the warm path.
+groups of ``_GROUP_SIZE`` (2048) points.
+
+Entry layout
+------------
+An entry's body is a few bytes of JSON: ``n``, ``tolerance_m`` and the
+ordered names of the nine :class:`~repro.engine.batch.BatchResult`
+columns.  The numbers travel in the entry's raw tail (see
+:mod:`repro.store.store`): the nine columns back to back as
+little-endian float64, ``9 · n · 8`` bytes.  A warm read views them
+with one ``np.frombuffer(...).reshape(9, n)`` — exact round-trip, no
+decoding of any number.
 
 Keys
 ----
@@ -39,7 +48,6 @@ run too, whatever batch they are solved in.  The engine's
 
 from __future__ import annotations
 
-import base64
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -48,7 +56,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .fingerprint import SOLVER_CODE_MODULES, config_key
-from .store import ResultStore
+from .store import Entry, ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.optimizer import OptimalDecision
@@ -135,45 +143,53 @@ def record_store_metrics(
 
 
 # ----------------------------------------------------------------------
-# Column codecs
+# Entry codec
 # ----------------------------------------------------------------------
 
-def _encode_column(values: np.ndarray) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(values, dtype="<f8").tobytes()
-    ).decode("ascii")
+#: One decoded group: its columns (views of the entry's tail) and tolerance.
+Group = Tuple[Dict[str, np.ndarray], float]
 
 
-def _decode_column(data: str, n: int) -> np.ndarray:
-    values = np.frombuffer(base64.b64decode(data), dtype="<f8")
-    if values.shape[0] != n:
-        raise ValueError("column length mismatch")
-    return values
-
-
-def _group_body(result: "BatchResult", start: int, stop: int) -> dict:
-    return {
+def _group_entry(
+    result: "BatchResult", start: int, stop: int
+) -> Tuple[dict, bytes]:
+    """``(body, tail)`` of the entry for rows ``[start, stop)``."""
+    names = _columns()
+    body = {
         "n": stop - start,
         "tolerance_m": float(result.tolerance_m),
-        "columns": {
-            name: _encode_column(getattr(result, name)[start:stop])
-            for name in _columns()
-        },
+        "columns": list(names),
     }
+    tail = np.stack(
+        [getattr(result, name)[start:stop] for name in names], dtype="<f8"
+    ).tobytes()
+    return body, tail
 
 
-def _decode_group(body: dict) -> Optional[Tuple[Dict[str, np.ndarray], float]]:
-    """Columns + tolerance from one entry body, or ``None`` if malformed."""
+def _decode_group(entry: Optional[Entry]) -> Optional[Group]:
+    """Columns + tolerance of one entry, or ``None`` if missing or malformed.
+
+    Refuses any column list but :func:`_columns`' and any tail that is
+    not exactly ``9 · n`` float64 values.
+    """
+    if entry is None:
+        return None
+    body, tail = entry
+    names = _columns()
     try:
-        n = int(body["n"])
+        n = body["n"]
         tolerance = float(body["tolerance_m"])
-        columns = {
-            name: _decode_column(body["columns"][name], n)
-            for name in _columns()
-        }
+        ok = (
+            type(n) is int
+            and body["columns"] == list(names)
+            and len(tail) == len(names) * n * 8
+        )
     except (KeyError, TypeError, ValueError):
         return None
-    return columns, tolerance
+    if not ok:
+        return None
+    rows = np.frombuffer(tail, dtype="<f8").reshape(len(names), n)
+    return dict(zip(names, rows)), tolerance
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +236,7 @@ def _sweep_group_key(
 def _assemble(
     n: int,
     groups: List[Tuple[int, int]],
-    decoded: List[Optional[Tuple[Dict[str, np.ndarray], float]]],
+    decoded: List[Optional[Group]],
     solved: Optional["BatchResult"],
     missing: List[int],
 ) -> "BatchResult":
@@ -255,17 +271,16 @@ def _fetch_groups(
     keys: List[str],
     refresh: bool,
     obs: Optional["ObsContext"],
-) -> List[Optional[Tuple[Dict[str, np.ndarray], float]]]:
+) -> List[Optional[Group]]:
     """Decode every cached group (None = miss), batching LRU touches."""
-    decoded: List[Optional[Tuple[Dict[str, np.ndarray], float]]] = []
+    decoded: List[Optional[Group]] = []
     touched: List[str] = []
     with _maybe_span(obs, "store.get", groups=len(keys)):
         for key in keys:
             if refresh:
                 decoded.append(None)
                 continue
-            body = store.get(key, touch=False)
-            entry = _decode_group(body) if body is not None else None
+            entry = _decode_group(store.get(key, touch=False))
             decoded.append(entry)
             if entry is not None:
                 touched.append(key)
@@ -284,14 +299,16 @@ def _store_groups(
 ) -> None:
     """Persist freshly solved groups (sliced out of ``solved``)."""
     with _maybe_span(obs, "store.put", groups=len(missing)):
-        items = {}
+        items, tails = {}, {}
         cursor = 0
         for gi in missing:
             start, stop = groups[gi]
             width = stop - start
-            items[keys[gi]] = _group_body(solved, cursor, cursor + width)
+            items[keys[gi]], tails[keys[gi]] = _group_entry(
+                solved, cursor, cursor + width
+            )
             cursor += width
-        store.put_many(items)
+        store.put_many(items, tails)
 
 
 def _run_groups(
@@ -369,8 +386,7 @@ def solve_incremental(
         return engine.solve(scenario, obs=obs), StoreReport(enabled=False)
     before = store.snapshot_counters()
     key = _group_key(engine, [point])
-    body = None if refresh else store.get(key)
-    entry = _decode_group(body) if body is not None else None
+    entry = None if refresh else _decode_group(store.get(key))
     if entry is not None:
         columns, tolerance = entry
         decision = OptimalDecision(
@@ -385,7 +401,7 @@ def solve_incremental(
     decision = engine.solve(scenario, obs=obs)
     from ..engine.batch import BatchResult
 
-    store.put(key, _group_body(BatchResult.from_decisions([decision]), 0, 1))
+    store.put(key, *_group_entry(BatchResult.from_decisions([decision]), 0, 1))
     report = StoreReport(enabled=True, points=1, entry_misses=1)
     record_store_metrics(obs, store, before, report)
     return decision, report

@@ -6,25 +6,32 @@ Layout (under ``REPRO_CACHE_DIR``, default ``~/.cache/repro``)::
     lock                   advisory flock for index mutations
     objects/ab/abcd....json one entry (see below)
 
-An entry file is the canonical JSON of ``{"body", "key", "sha256"}``,
-i.e. the bytes ``{"body":<B>,"key":"<key>","sha256":"<hex>"}`` where
-``<B>`` is the canonical JSON of the body and ``<hex>`` the SHA-256 of
-exactly those bytes.  Writers encode the body once and splice the
-wrapper around it (:func:`_document`); readers check the fixed head
-and the tail that names the key, hash the body bytes as stored and
-parse only them (:func:`_parse_document`) — a warm read is one file
-read, one hash and one parse.
+An entry file is the canonical JSON of ``{"blob", "body", "key",
+"sha256"}`` followed by an optional raw binary *tail*, i.e. the bytes
+``{"blob":<len>,"body":<B>,"key":"<key>","sha256":"<hex>"}<tail>``
+where ``<B>`` is the canonical JSON of the body, ``<len>`` the tail's
+length in bytes and ``<hex>`` the SHA-256 of the body bytes followed
+by the tail bytes.  An entry without a tail omits ``"blob"``, so its
+file is ``{"body":<B>,"key":"<key>","sha256":"<hex>"}``.  Writers
+encode the body once and splice the wrapper around it
+(:func:`_document`); readers check the fixed head, the declared tail
+length and the part after the body that names the key, hash the body
+and tail bytes as stored and parse only the body
+(:func:`_parse_document`) — a warm read is one file read, one hash
+and one parse of the body.  The tail is handed back as a view of the
+bytes read, so a reader such as :mod:`repro.store.incremental` can
+view numbers in it without copying or decoding them.
 
 Guarantees:
 
 * **atomicity** — payloads and the index are written tmp+rename
   (:mod:`repro.store.atomic`), so readers never see torn entries;
 * **self-verification** — every entry carries the SHA-256 of its
-  body's stored bytes; any file that is not exactly the document the
-  store writes for its key (bit rot, truncation, appended bytes, a
-  wrong key, manual edits — even ones that reformat equal JSON) is
-  treated as a miss, the entry is dropped, and ``corrupt`` is counted —
-  never an exception;
+  body's and tail's stored bytes; any file that is not exactly the
+  document the store writes for its key (bit rot, truncation, appended
+  bytes, a wrong key or tail length, manual edits — even ones that
+  reformat equal JSON) is treated as a miss, the entry is dropped, and
+  ``corrupt`` is counted — never an exception;
 * **bounded size** — a byte-capped LRU: the index orders entries by a
   persisted logical ``tick`` (no wall clock anywhere, so replays and
   tests stay deterministic) and :meth:`ResultStore.put` evicts
@@ -46,7 +53,7 @@ import os
 import shutil
 import threading
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .atomic import FileLock, atomic_write_bytes, atomic_write_text
 from .fingerprint import canonical_json
@@ -65,56 +72,93 @@ DEFAULT_MAX_BYTES = 512 * 2**20
 
 _INDEX_VERSION = 1
 
-#: An entry document's fixed head and the tail's parts (after the body).
+#: An entry document's fixed heads and the parts after the body.
 _HEAD = b'{"body":'
+_BLOB_HEAD = b'{"blob":'
+_BODY_SEP = b',"body":'
 _KEY_SEP = b',"key":'
 _SHA_SEP = b',"sha256":"'
 _END = b'"}'
 _SHA_LEN = 64
+#: Longest tail length field read: 19 digits exceed any file size.
+_BLOB_DIGITS = 19
+
+#: ``(body, tail)`` of one entry; the tail is empty for most kinds.
+Entry = Tuple[object, memoryview]
 
 
-def _document(key: str, body: object) -> bytes:
-    """The entry file for ``body`` under ``key``.
+def _document(key: str, body: object, tail: bytes = b"") -> bytes:
+    """The entry file for ``body`` and ``tail`` under ``key``.
 
-    Byte-identical to ``canonical_json({"key": key, "sha256": sha,
-    "body": body})`` with ``sha`` the SHA-256 of the body's canonical
-    JSON, but the body is encoded once.  Raises ``TypeError`` or
-    ``ValueError`` when the body does not encode canonically.
+    Without a tail, byte-identical to ``canonical_json({"key": key,
+    "sha256": sha, "body": body})`` with ``sha`` the SHA-256 of the
+    body's canonical JSON; with one, to ``canonical_json({"blob":
+    len(tail), ...})`` with ``sha`` taken over the body bytes then the
+    tail, followed by the tail.  The body is encoded once.  Raises
+    ``TypeError`` or ``ValueError`` when the body does not encode
+    canonically.
     """
     encoded = canonical_json(body).encode("ascii")
+    digest = hashlib.sha256(encoded)
+    if tail:
+        digest.update(tail)
+        head = b"%s%d%s" % (_BLOB_HEAD, len(tail), _BODY_SEP)
+    else:
+        head = _HEAD
     return b"".join((
-        _HEAD,
+        head,
         encoded,
         _KEY_SEP,
         canonical_json(key).encode("ascii"),
         _SHA_SEP,
-        hashlib.sha256(encoded).hexdigest().encode("ascii"),
+        digest.hexdigest().encode("ascii"),
         _END,
+        tail,
     ))
 
 
-def _parse_document(key: str, raw: bytes) -> Optional[object]:
-    """The body of entry file ``raw`` if it is ``key``'s document, else None.
+def _parse_document(key: str, raw: bytes) -> Optional[Entry]:
+    """``(body, tail)`` of entry file ``raw`` if it is ``key``'s document.
 
-    Checks the head and the tail that names ``key``, hashes the body
-    bytes as stored against the tail's checksum and parses only them.
+    Checks the head (with a tail, a canonical positive length that
+    fits the file), the part after the body that names ``key``, hashes
+    the body and tail bytes as stored against the checksum and parses
+    only the body.  Anything else gives ``None``.
     """
-    tail = _KEY_SEP + canonical_json(key).encode("ascii") + _SHA_SEP
-    end = len(raw) - len(_END) - _SHA_LEN
-    start = end - len(tail)
+    blob = 0
+    start = len(_HEAD)
+    if raw.startswith(_BLOB_HEAD):
+        digits_at = len(_BLOB_HEAD)
+        sep = raw.find(b",", digits_at, digits_at + _BLOB_DIGITS + 1)
+        digits = raw[digits_at:max(sep, digits_at)]
+        if (
+            not digits.isdigit()
+            or digits.startswith(b"0")
+            or raw[sep:sep + len(_BODY_SEP)] != _BODY_SEP
+        ):
+            return None
+        blob = int(digits)
+        start = sep + len(_BODY_SEP)
+    elif not raw.startswith(_HEAD):
+        return None
+    stop = len(raw) - blob
+    suffix = _KEY_SEP + canonical_json(key).encode("ascii") + _SHA_SEP
+    sha_at = stop - len(_END) - _SHA_LEN
+    body_end = sha_at - len(suffix)
     if (
-        start < len(_HEAD)
-        or not raw.startswith(_HEAD)
-        or not raw.endswith(_END)
-        or raw[start:end] != tail
+        body_end < start
+        or raw[sha_at + _SHA_LEN:stop] != _END
+        or raw[body_end:sha_at] != suffix
     ):
         return None
-    encoded = raw[len(_HEAD):start]
-    sha = raw[end:end + _SHA_LEN]
-    if hashlib.sha256(encoded).hexdigest().encode("ascii") != sha:
+    encoded = raw[start:body_end]
+    tail = memoryview(raw)[stop:]
+    digest = hashlib.sha256(encoded)
+    digest.update(tail)
+    if digest.hexdigest().encode("ascii") != raw[sha_at:sha_at + _SHA_LEN]:
         return None
     try:
-        return json.loads(encoded)
+        return json.loads(encoded), tail
     except ValueError:
         return None
 
@@ -262,13 +306,14 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Entry I/O
     # ------------------------------------------------------------------
-    def get(self, key: str, touch: bool = True) -> Optional[dict]:
-        """The stored body for ``key``, or ``None``.
+    def get(self, key: str, touch: bool = True) -> Optional[Entry]:
+        """The stored ``(body, tail)`` for ``key``, or ``None``.
 
         Corrupt entries (anything but the exact document
         :func:`_document` writes for ``key``) are dropped and counted as
         ``corrupt`` — the caller simply sees a miss.  Filesystem errors
-        count as ``errors`` and also miss.
+        count as ``errors`` and also miss.  The tail is a read-only view
+        of the bytes read, empty when the entry was stored without one.
         ``touch=False`` skips the LRU-tick refresh so batch readers can
         coalesce it into one :meth:`touch_many` index write.
         """
@@ -283,8 +328,8 @@ class ResultStore:
             self._count("errors")
             self._count("misses")
             return None
-        body = _parse_document(key, raw)
-        if body is None:
+        entry = _parse_document(key, raw)
+        if entry is None:
             self._count("corrupt")
             self._count("misses")
             self._drop(key)
@@ -293,10 +338,10 @@ class ResultStore:
         self._count("bytes_read", len(raw))
         if touch:
             self.touch_many([key])
-        return body
+        return entry
 
-    def put(self, key: str, body: dict) -> bool:
-        """Store ``body`` under ``key``; evict past the size cap.
+    def put(self, key: str, body: dict, tail: bytes = b"") -> bool:
+        """Store ``body`` and a raw ``tail`` under ``key``; evict past the cap.
 
         Returns ``True`` when the entry landed on disk.  Any failure
         (read-only directory, full disk, un-encodable body) is counted
@@ -305,36 +350,20 @@ class ResultStore:
         """
         if self.max_bytes <= 0 or not self._ensure_dirs():
             return False
-        try:
-            document = _document(key, body)
-        except (TypeError, ValueError):
-            self._count("errors")
+        size = self._write(key, body, tail)
+        if size is None:
             return False
-        path = self._object_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(path, document)
-        except OSError:
-            self._count("errors")
-            return False
-        self._count("puts")
-        self._count("bytes_written", len(document))
-        try:
-            with FileLock(self.lock_path):
-                index = self._load_index()
-                entries: Dict[str, Dict[str, int]] = index["entries"]  # type: ignore[assignment]
-                tick = index["tick"] + 1  # type: ignore[operator]
-                index["tick"] = tick
-                entries[key] = {"size": len(document), "tick": tick}
-                self._evict_locked(index)
-                self._save_index(index)
-        except OSError:
-            self._count("errors")
+        self._index_written({key: size})
         return True
 
-    def put_many(self, items: Dict[str, dict]) -> int:
+    def put_many(
+        self,
+        items: Dict[str, dict],
+        tails: Optional[Dict[str, bytes]] = None,
+    ) -> int:
         """Store several bodies with one index update; returns stores.
 
+        ``tails`` maps a key to its entry's raw tail (none by default).
         Payload files are written (atomically) one by one, then a
         single locked index pass assigns ticks in insertion order and
         runs eviction once — a cold 8k-point sweep costs one index
@@ -342,25 +371,37 @@ class ResultStore:
         """
         if self.max_bytes <= 0 or not items or not self._ensure_dirs():
             return 0
+        tails = tails or {}
         written: Dict[str, int] = {}
         for key, body in items.items():
-            try:
-                document = _document(key, body)
-            except (TypeError, ValueError):
-                self._count("errors")
-                continue
-            path = self._object_path(key)
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                atomic_write_bytes(path, document)
-            except OSError:
-                self._count("errors")
-                continue
-            written[key] = len(document)
-            self._count("puts")
-            self._count("bytes_written", len(document))
-        if not written:
-            return 0
+            size = self._write(key, body, tails.get(key, b""))
+            if size is not None:
+                written[key] = size
+        if written:
+            self._index_written(written)
+        return len(written)
+
+    def _write(self, key: str, body: dict, tail: bytes) -> Optional[int]:
+        """Write one entry file; its size, or ``None`` (counted) on failure."""
+        try:
+            document = _document(key, body, tail)
+        except (TypeError, ValueError):
+            self._count("errors")
+            return None
+        path = self._object_path(key)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_bytes(path, document)
+        except OSError:
+            self._count("errors")
+            return None
+        self._count("puts")
+        self._count("bytes_written", len(document))
+        return len(document)
+
+    def _index_written(self, written: Dict[str, int]) -> None:
+        """Index freshly written entries (key → size) as the newest, then
+        evict past the cap: one locked index write."""
         try:
             with FileLock(self.lock_path):
                 index = self._load_index()
@@ -374,7 +415,6 @@ class ResultStore:
                 self._save_index(index)
         except OSError:
             self._count("errors")
-        return len(written)
 
     def touch_many(self, keys) -> None:
         """Refresh the LRU tick of several keys in one index write.

@@ -1,10 +1,15 @@
 """Cache-key derivation: canonical JSON + code fingerprints."""
 
+import json
+import os
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.store import canonical_json, code_fingerprint, config_key
 from repro.store import fingerprint as fp_module
 
@@ -99,3 +104,65 @@ class TestConfigKey:
             fp_module.STORE_SCHEMA_VERSION + 1,
         )
         assert config_key("test.kind", {"x": 1}, self.MODULES) != base
+
+
+#: Prints the child process's active SIMD targets and one store key.
+_CHILD = (
+    "import json\n"
+    "from repro.store.fingerprint import config_key, numpy_build\n"
+    "print(json.dumps([numpy_build(),"
+    " config_key('test.kind', {'x': 1}, ('repro.core.optimizer',))]))\n"
+)
+
+#: What an AVX2-only host runs: NumPy's AVX-512 dispatch targets off.
+_AVX2_ONLY = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _child_build_and_key(disable):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(repro.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p
+    )
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disable:
+        env["NPY_DISABLE_CPU_FEATURES"] = disable
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD], env=env, check=True,
+        capture_output=True, text=True, timeout=120,
+    ).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+class TestNumpyBuild:
+    MODULES = ("repro.core.optimizer",)
+
+    def test_names_the_version_and_active_targets(self):
+        import numpy
+
+        build = fp_module.numpy_build()
+        assert build["version"] == numpy.__version__
+        assert build["simd"] == [
+            t for t in numpy._core._multiarray_umath.__cpu_dispatch__
+            if numpy._core._multiarray_umath.__cpu_features__[t]
+        ]
+        assert fp_module.numpy_build() is build  # once per process
+
+    def test_build_participates(self, monkeypatch):
+        base = config_key("test.kind", {"x": 1}, self.MODULES)
+        build = dict(fp_module.numpy_build(), version="0.0.0")
+        monkeypatch.setattr(fp_module, "numpy_build", lambda: build)
+        assert config_key("test.kind", {"x": 1}, self.MODULES) != base
+
+    def test_keys_follow_the_simd_path(self):
+        """A child with AVX-512 dispatch off keys differently exactly when
+        its active targets differ (so this also holds on AVX2 hosts)."""
+        plain_build, plain_key = _child_build_and_key(None)
+        build, key = _child_build_and_key(_AVX2_ONLY)
+        here = fp_module.numpy_build()
+        base = config_key("test.kind", {"x": 1}, self.MODULES)
+        if os.environ.get("NPY_DISABLE_CPU_FEATURES") is None:
+            assert (plain_build, plain_key) == (here, base)
+        assert build["version"] == plain_build["version"]
+        assert not set(build["simd"]) & {"X86_V4", "AVX512_ICL", "AVX512_SPR"}
+        assert (key != plain_key) == (build["simd"] != plain_build["simd"])

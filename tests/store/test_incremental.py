@@ -12,7 +12,12 @@ from repro.store import (
     solve_incremental,
     sweep_incremental,
 )
-from repro.store.incremental import _group_key, _sweep_group_key
+from repro.store.incremental import (
+    _decode_group,
+    _group_entry,
+    _group_key,
+    _sweep_group_key,
+)
 
 COLUMNS = (
     "distance_m", "utility", "cdelay_s", "shipping_s", "transmission_s",
@@ -149,6 +154,78 @@ class TestSweepIdentity:
         assert calls == []
         assert 0 < report.warm_points < report.points
         assert_batches_equal(result, want)
+
+
+#: Entries whose checksum holds but whose contents are not a group of
+#: this schema: each must decode to None (a miss), never raise.
+MALFORMED = {
+    "reversed-columns": lambda b, t: ({**b, "columns": b["columns"][::-1]}, t),
+    "missing-column": lambda b, t: ({**b, "columns": b["columns"][:-1]}, t),
+    "extra-column": lambda b, t: ({**b, "columns": b["columns"] + ["x"]}, t),
+    "short-tail": lambda b, t: (b, t[:-8]),
+    "long-tail": lambda b, t: (b, t + t[:8]),
+    "ragged-tail": lambda b, t: (b, t[:-1]),
+    "float-n": lambda b, t: ({**b, "n": float(b["n"])}, t),
+    "bool-n": lambda b, t: ({**b, "n": True}, t),
+    "no-n": lambda b, t: ({k: v for k, v in b.items() if k != "n"}, t),
+    "str-tolerance": lambda b, t: ({**b, "tolerance_m": "x"}, t),
+    "null-tolerance": lambda b, t: ({**b, "tolerance_m": None}, t),
+    "not-a-dict": lambda b, t: ([b], t),
+    # The schema-1 layout: base64 column strings in the body, no tail.
+    "schema-1": lambda b, t: (
+        {**b, "columns": {name: "AAAAAAAA8D8=" for name in b["columns"]}},
+        b"",
+    ),
+}
+
+
+class TestEntryCodec:
+    @pytest.fixture
+    def solved(self):
+        return fresh_engine().sweep(
+            quadrocopter_scenario(), "mdata_mb", np.linspace(1.0, 20.0, 5)
+        )
+
+    def test_round_trip(self, solved):
+        body, tail = _group_entry(solved, 1, 4)
+        assert body == {
+            "n": 3,
+            "tolerance_m": solved.tolerance_m,
+            "columns": list(COLUMNS),
+        }
+        assert len(tail) == 9 * 3 * 8
+        columns, tolerance = _decode_group((body, memoryview(tail)))
+        assert tolerance == solved.tolerance_m
+        for name in COLUMNS:
+            np.testing.assert_array_equal(
+                columns[name], getattr(solved, name)[1:4], err_msg=name
+            )
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_entry_is_refused(self, solved, name):
+        body, tail = MALFORMED[name](*_group_entry(solved, 0, 5))
+        assert _decode_group((body, memoryview(tail))) is None
+
+    def test_refused_entry_is_recomputed(self, store):
+        """A well-formed document with a malformed group is a miss."""
+        scn = quadrocopter_scenario()
+        values = np.linspace(1.0, 20.0, 300)  # one group
+        cold, _ = sweep_incremental(
+            fresh_engine(), scn, "mdata_mb", values, store
+        )
+        (path,) = sorted((store.root / "objects").rglob("*.json"))
+        body, tail = store.get(path.stem)
+        store.put(path.stem, body, bytes(tail)[:-8])
+        again, report = sweep_incremental(
+            fresh_engine(), scn, "mdata_mb", values, store
+        )
+        assert report.warm_points == 0
+        assert_batches_equal(again, cold)
+        warm, report = sweep_incremental(
+            fresh_engine(), scn, "mdata_mb", values, store
+        )
+        assert report.warm_points == 300
+        assert_batches_equal(warm, cold)
 
 
 class TestBatchIdentity:

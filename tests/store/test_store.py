@@ -35,7 +35,7 @@ class TestRoundTrip:
     def test_put_then_get(self, store):
         body = {"n": 2, "values": [1.5, 2.5]}
         assert store.put(KEY_A, body) is True
-        assert store.get(KEY_A) == body
+        assert store.get(KEY_A) == (body, b"")
         assert store.counters["puts"] == 1
         assert store.counters["hits"] == 1
         assert store.counters["bytes_written"] > 0
@@ -49,14 +49,28 @@ class TestRoundTrip:
         assert store.put(KEY_A, {"bad": float("nan")}) is False
         assert store.counters["errors"] == 1
 
+    def test_tail_round_trips(self, store):
+        body, tail = {"n": 3}, b"\x00\xff" * 12
+        assert store.put(KEY_A, body, tail) is True
+        assert store.get(KEY_A) == (body, tail)
+        assert store.counters["bytes_read"] > len(tail)
+
+    def test_put_many_with_tails(self, store):
+        stored = store.put_many(
+            {KEY_A: {"v": 1}, KEY_B: {"v": 2}}, {KEY_A: b"\x01"}
+        )
+        assert stored == 2
+        assert store.get(KEY_A) == ({"v": 1}, b"\x01")
+        assert store.get(KEY_B) == ({"v": 2}, b"")
+
     def test_put_many_and_stats(self, store):
         stored = store.put_many({KEY_A: {"v": 1}, KEY_B: {"v": 2}})
         assert stored == 2
         stats = store.stats()
         assert stats["entries"] == 2
         assert stats["total_bytes"] > 0
-        assert store.get(KEY_A) == {"v": 1}
-        assert store.get(KEY_B) == {"v": 2}
+        assert store.get(KEY_A) == ({"v": 1}, b"")
+        assert store.get(KEY_B) == ({"v": 2}, b"")
 
 
 class TestCorruption:
@@ -99,7 +113,7 @@ class TestCorruption:
         store.put(KEY_A, {"v": 1})
         store.index_path.write_text("][")
         assert store.stats()["entries"] == 1
-        assert store.get(KEY_A) == {"v": 1}
+        assert store.get(KEY_A) == ({"v": 1}, b"")
 
     def test_repair_saves_an_unparseable_index(self, store):
         store.put(KEY_A, {"v": 1})
@@ -152,7 +166,7 @@ class TestMalformedIndex:
         return store
 
     def test_get(self, damaged):
-        assert damaged.get(KEY_A) == {"v": 1}
+        assert damaged.get(KEY_A) == ({"v": 1}, b"")
         assert damaged.counters["corrupt"] == 1
         index = json.loads(damaged.index_path.read_text())
         assert sorted(index["entries"]) == [KEY_A, KEY_B]
@@ -161,7 +175,7 @@ class TestMalformedIndex:
         assert damaged.put(KEY_C, {"v": 3}) is True
         assert damaged.counters["corrupt"] == 1
         assert damaged.stats()["entries"] == 3
-        assert damaged.get(KEY_C) == {"v": 3}
+        assert damaged.get(KEY_C) == ({"v": 3}, b"")
 
     def test_stats(self, damaged):
         stats = damaged.stats()
@@ -182,13 +196,20 @@ class TestMalformedIndex:
         assert sorted(index["entries"]) == [KEY_B]
         assert damaged.stats()["entries"] == 1
         assert damaged.counters["corrupt"] == 2
-        assert damaged.get(KEY_B) == {"v": 2}
+        assert damaged.get(KEY_B) == ({"v": 2}, b"")
 
 
 def _old_document(key, body):
     """The entry document as first written: the whole wrapper encoded."""
     sha = hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
     return canonical_json({"key": key, "sha256": sha, "body": body}).encode()
+
+
+def _tailed_document(key, body, tail):
+    """A tailed entry: the whole wrapper, ``blob`` included, then the tail."""
+    sha = hashlib.sha256(canonical_json(body).encode() + tail).hexdigest()
+    wrapper = {"blob": len(tail), "key": key, "sha256": sha, "body": body}
+    return canonical_json(wrapper).encode() + tail
 
 
 _names = st.one_of(
@@ -216,16 +237,31 @@ class TestDocument:
     def test_document_equals_the_whole_wrapper_encoding(self, key, body):
         document = _document(key, body)
         assert document == _old_document(key, body)
-        assert _parse_document(key, document) == body
+        assert _document(key, body, b"") == document
+        assert _parse_document(key, document) == (body, b"")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.one_of(st.just(KEY_A), st.text(max_size=8)),
+        body=st.dictionaries(_names, _json, max_size=5),
+        tail=st.binary(min_size=1, max_size=64),
+    )
+    def test_tail_round_trips(self, key, body, tail):
+        document = _document(key, body, tail)
+        assert document == _tailed_document(key, body, tail)
+        parsed_body, parsed_tail = _parse_document(key, document)
+        assert parsed_body == body
+        assert bytes(parsed_tail) == tail
 
     def test_parse_rejects_another_keys_document(self):
         assert _parse_document(KEY_A, _document(KEY_B, {"v": 1})) is None
+        assert _parse_document(KEY_A, _document(KEY_B, {}, b"\x00")) is None
 
     def test_whole_wrapper_entries_stay_warm(self, store):
         body = {"columns": {"d": "AAAAAAAA8D8="}, "n": 1, "key": "ü"}
         store.put(KEY_A, {"v": 0})
         store._object_path(KEY_A).write_bytes(_old_document(KEY_A, body))
-        assert store.get(KEY_A) == body
+        assert store.get(KEY_A) == (body, b"")
         assert store.verify(repair=False) == {"checked": 1, "corrupt": 0}
         assert store.counters["corrupt"] == 0
 
@@ -235,13 +271,16 @@ class TestDocument:
 #: modules.
 PIN_KEY = "5a" * 32
 
-#: sha256 of the entry file each producer's body becomes under
-#: ``PIN_KEY``, recorded when every entry was written as the canonical
-#: JSON of the whole ``{"key", "sha256", "body"}`` wrapper.  A chaos
-#: entry's manifest has ``git_rev`` cleared (it names the checkout).
+#: sha256 of the entry file each producer's body and tail become under
+#: ``PIN_KEY``.  The campaign and chaos pins were recorded when every
+#: entry was written as the canonical JSON of the whole ``{"key",
+#: "sha256", "body"}`` wrapper; the Eq. 2 pin when its columns moved
+#: from base64 strings in the body to one raw float64 tail (store
+#: schema 2).  A chaos entry's manifest has ``git_rev`` cleared (it
+#: names the checkout).
 ENTRY_PINS = {
     "eq2.sweep":
-        "1e14d3c4e33f54c4cdbe2b091136220be4f9397f64ce93e8afd82624fa592f75",
+        "26b5849f083ad41ecd92c547a8ae2b841e25bd00783d5e22c9643a991ffe6aaf",
     "campaign.shard":
         "5e174f4d3264b3655bd52adfbd9a265e914aef3edba49f8de0824a784209817d",
     "chaos.run":
@@ -272,42 +311,70 @@ def test_entry_file_bytes_pinned(tmp_path, kind):
     _fill(kind, store)
     (path,) = sorted((store.root / "objects").rglob("*.json"))
     raw = path.read_bytes()
-    body = _parse_document(path.stem, raw)
-    assert body is not None and raw == _document(path.stem, body)
+    body, tail = _parse_document(path.stem, raw)
+    assert raw == _document(path.stem, body, tail)
+    assert bool(tail) == (kind == "eq2.sweep")
     if kind == "chaos.run":
         body["manifest"]["git_rev"] = None
     pinned = ResultStore(tmp_path / "pinned")
-    assert pinned.put(PIN_KEY, body)
+    assert pinned.put(PIN_KEY, body, tail)
     digest = hashlib.sha256(pinned._object_path(PIN_KEY).read_bytes())
     assert digest.hexdigest() == ENTRY_PINS[kind]
 
 
-def _reformatted(raw):
+def _reformatted(raw, n):
     """Equal JSON in other bytes (the checksum still names the body)."""
-    return json.dumps(json.loads(raw), indent=1).encode()
+    document, tail = raw[:len(raw) - n], raw[len(raw) - n:]
+    return json.dumps(json.loads(document), indent=1).encode() + tail
 
 
-def _wrong_key(raw):
-    return _document(KEY_B, _parse_document(KEY_A, raw))
+def _wrong_key(raw, n):
+    return _document(KEY_B, *_parse_document(KEY_A, raw))
 
 
-#: Damage that leaves an entry unreadable as its key's document.  The
-#: reformatted and appended-bytes files still parse to the stored JSON,
-#: checksum included: only their bytes differ.
+def _flip(raw, at):
+    return raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:]
+
+
+def _declare(length):
+    """Rewrite the head to declare a tail of ``length`` (raw digits)."""
+    def damage(raw, n):
+        body_at = raw.index(b'"body":')
+        return b'{"blob":' + length(raw) + b"," + raw[body_at:]
+    return damage
+
+
+#: Damage that leaves an entry unreadable as its key's document.  ``n``
+#: is the entry's tail length (0 for a plain entry).  The reformatted
+#: and appended-bytes files still parse to the stored JSON, checksum
+#: included: only their bytes differ.  A flipped tail byte lands in the
+#: checksum of a plain entry.
 DAMAGE = {
     "reformatted": _reformatted,
-    "wrong-key-in-tail": _wrong_key,
-    "truncated-tail": lambda raw: raw[:-1],
-    "flipped-body-byte": lambda raw: raw.replace(b"1.5", b"2.5"),
-    "appended-bytes": lambda raw: raw + b"\n",
+    "wrong-key": _wrong_key,
+    "truncated-tail": lambda raw, n: raw[:-1],
+    "flipped-body-byte": lambda raw, n: raw.replace(b"1.5", b"2.5"),
+    "flipped-tail-byte": lambda raw, n: _flip(raw, len(raw) - 1 - n // 2),
+    "appended-bytes": lambda raw, n: raw + b"\n",
+    "declared-past-file": _declare(lambda raw: b"%d" % (len(raw) + 1)),
+    "declared-zero": _declare(lambda raw: b"0"),
+    "declared-negative": _declare(lambda raw: b"-8"),
+    "declared-float": _declare(lambda raw: b"8.0"),
+    "declared-leading-zero": _declare(lambda raw: b"024"),
+    "declared-string": _declare(lambda raw: b'"24"'),
 }
 
 
 class TestDocumentDamage:
+    """Every damage to a plain entry is a counted corrupt miss."""
+
+    #: The raw tail the damaged entry is written with.
+    TAIL = b""
+
     def _damaged(self, store, name):
-        store.put(KEY_A, {"v": [1.5, "ü"], "key": KEY_B})
+        store.put(KEY_A, {"v": [1.5, "ü"], "key": KEY_B}, self.TAIL)
         path = store._object_path(KEY_A)
-        path.write_bytes(DAMAGE[name](path.read_bytes()))
+        path.write_bytes(DAMAGE[name](path.read_bytes(), len(self.TAIL)))
         return path
 
     @pytest.mark.parametrize("name", sorted(DAMAGE))
@@ -330,6 +397,17 @@ class TestDocumentDamage:
         assert store.counters["corrupt"] == 2
 
 
+class TestTailedDocumentDamage(TestDocumentDamage):
+    """The same damage to an entry with a raw tail (24 bytes of float64)."""
+
+    TAIL = np.array([1.5, -0.0, 5e-324], dtype="<f8").tobytes()
+
+    def test_undamaged_entry_reads(self, store):
+        store.put(KEY_A, {"v": 1}, self.TAIL)
+        assert store.get(KEY_A) == ({"v": 1}, self.TAIL)
+        assert store.verify(repair=False) == {"checked": 1, "corrupt": 0}
+
+
 class TestLruEviction:
     def _entry_size(self, tmp_path):
         probe = ResultStore(tmp_path / "probe")
@@ -345,8 +423,8 @@ class TestLruEviction:
         store.put(KEY_C, {"v": 3})
         assert store.counters["evictions"] == 1
         assert store.get(KEY_B) is None
-        assert store.get(KEY_A) == {"v": 1}
-        assert store.get(KEY_C) == {"v": 3}
+        assert store.get(KEY_A) == ({"v": 1}, b"")
+        assert store.get(KEY_C) == ({"v": 3}, b"")
 
     def test_touch_many_refreshes_in_one_pass(self, tmp_path):
         size = self._entry_size(tmp_path)
@@ -354,7 +432,7 @@ class TestLruEviction:
         store.put_many({KEY_A: {"v": 1}, KEY_B: {"v": 2}, KEY_C: {"v": 3}})
         store.touch_many([KEY_A])
         assert store.gc(max_bytes=size) == 2  # keeps only the freshest
-        assert store.get(KEY_A) == {"v": 1}
+        assert store.get(KEY_A) == ({"v": 1}, b"")
         assert store.get(KEY_B) is None
 
     def test_zero_cap_disables_puts(self, tmp_path):

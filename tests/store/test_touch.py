@@ -119,7 +119,7 @@ def test_touching_the_newest_keys_in_order_writes_nothing(tmp_path):
     before = store.index_path.stat()
     store.touch_many([KEYS[0], KEYS[1], KEYS[2]])  # KEYS[2] is absent
     store.touch_many([KEYS[1], KEYS[0], KEYS[1]])  # last occurrence: 0, 1
-    assert store.get(KEYS[1]) == {"v": 1}
+    assert store.get(KEYS[1]) == ({"v": 1}, b"")
     after = store.index_path.stat()
     assert (after.st_ino, after.st_mtime_ns) == (
         before.st_ino, before.st_mtime_ns
