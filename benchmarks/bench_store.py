@@ -12,10 +12,11 @@ The store's contract (ISSUE 7) is twofold:
 
 Both sides run against throwaway store directories, with fresh
 zero-memo engines per pass so the in-process cache cannot stand in for
-the persistent one.  Each side's wall is the median of
-:data:`REPEATS` passes — cold passes each fill a fresh store, warm
-passes re-read the last one — so one slow pass on a shared machine
-cannot move the ratio across the floor.  The report is dumped to ``BENCH_store.json``
+the persistent one.  The passes run in :data:`PAIRS` alternating
+pairs: a cold pass fills a fresh store, then a warm pass re-reads it.
+The gate reads the median of the per-pair cold/warm ratios, so a slow
+stretch on a shared machine lands on both sides of a pair instead of
+on one side of the ratio.  The report is dumped to ``BENCH_store.json``
 through the same manifest schema as the other benchmark artifacts.
 
 Run standalone:
@@ -60,8 +61,8 @@ CAMPAIGN = BatchCampaignConfig(
 #: Acceptance bar: warm sweep at least this much faster than cold.
 MIN_SPEEDUP = 10.0
 
-#: Timed passes per side; the gate compares their medians.
-REPEATS = 5
+#: Alternating cold/warm pairs; the gate reads the median pair ratio.
+PAIRS = 15
 
 
 def _sweep_pass(store: ResultStore) -> tuple:
@@ -87,18 +88,22 @@ def _campaign_pass(store: ResultStore) -> tuple:
     return wall_clock() - t0, result.samples
 
 
-def _median_passes(run_pass, root: Path) -> tuple:
-    """(cold median s, warm median s, outputs identical, store stats).
+def _paired_passes(run_pass, root: Path) -> tuple:
+    """(median pair ratio, cold median s, warm median s, outputs
+    identical, store stats).
 
-    Each cold pass fills a fresh store under ``root``; the warm passes
-    then re-read the last one.  Identical means every pass, cold or
-    warm, produced the first cold pass's output.
+    Pair ``i`` runs a cold pass that fills a fresh store under ``root``,
+    then a warm pass that re-reads it.  Identical means every pass,
+    cold or warm, produced the first cold pass's output.
     """
-    cold = [run_pass(ResultStore(root / f"cold{i}")) for i in range(REPEATS)]
-    store = ResultStore(root / f"cold{REPEATS - 1}")
-    warm = [run_pass(store) for _ in range(REPEATS)]
+    cold, warm = [], []
+    for i in range(PAIRS):
+        store = ResultStore(root / f"pair{i}")
+        cold.append(run_pass(store))
+        warm.append(run_pass(store))
     first = cold[0][1]
     return (
+        statistics.median(c / w for (c, _), (w, _) in zip(cold, warm)),
         statistics.median(wall for wall, _ in cold),
         statistics.median(wall for wall, _ in warm),
         all(out == first for _, out in cold + warm),
@@ -110,27 +115,28 @@ def measure() -> dict:
     """Cold-vs-warm median walls and identity checks on throwaway stores."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
         root = Path(tmp)
-        sweep_cold_s, sweep_warm_s, sweep_identical, _ = _median_passes(
-            _sweep_pass, root / "sweep"
+        sweep_speedup, sweep_cold_s, sweep_warm_s, sweep_identical, _ = (
+            _paired_passes(_sweep_pass, root / "sweep")
         )
-        campaign_cold_s, campaign_warm_s, campaign_identical, stats = (
-            _median_passes(_campaign_pass, root / "campaign")
-        )
+        (
+            campaign_speedup, campaign_cold_s, campaign_warm_s,
+            campaign_identical, stats,
+        ) = _paired_passes(_campaign_pass, root / "campaign")
     return {
         "workload": {
             "sweep": "rho_per_m",
             "n_values": int(RHO_VALUES.size),
             "scenarios": ["airplane", "quadrocopter"],
             "campaign_cases": len(CAMPAIGN.distances_m) * CAMPAIGN.n_replicas,
-            "repeats": REPEATS,
+            "pairs": PAIRS,
         },
         "sweep_cold_s": sweep_cold_s,
         "sweep_warm_s": sweep_warm_s,
-        "sweep_speedup": sweep_cold_s / sweep_warm_s,
+        "sweep_speedup": sweep_speedup,
         "sweep_manifests_identical": sweep_identical,
         "campaign_cold_s": campaign_cold_s,
         "campaign_warm_s": campaign_warm_s,
-        "campaign_speedup": campaign_cold_s / campaign_warm_s,
+        "campaign_speedup": campaign_speedup,
         "campaign_samples_identical": campaign_identical,
         "store_entries": int(stats["entries"]),
         "store_bytes": int(stats["total_bytes"]),
@@ -161,7 +167,7 @@ def check(report: dict) -> bool:
     print(
         f"store warm speedup >= {MIN_SPEEDUP:.0f}x: "
         f"{'PASS' if ok else 'FAIL'} "
-        f"(sweep {report['sweep_speedup']:.1f}x: "
+        f"(median pair ratio; sweep {report['sweep_speedup']:.1f}x: "
         f"{report['sweep_cold_s']:.3f} s cold -> "
         f"{report['sweep_warm_s']:.3f} s warm; "
         f"campaign {report['campaign_speedup']:.1f}x: "

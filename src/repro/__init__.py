@@ -14,8 +14,8 @@ The package is organised bottom-up:
 * :mod:`repro.measurements` — simulated campaigns, fits, paper data.
 * :mod:`repro.core` — the delayed-gratification model (the paper's
   contribution): Cdelay, utility, optimiser, strategies, scenarios.
-* :mod:`repro.engine` — fleet-scale batch solver: vectorised Eq. 2,
-  memoisation, chunked fan-out.
+* :mod:`repro.engine` — fleet-scale batch solver: vectorised Eq. 2 in
+  serial chunked passes, memoised scalar solves.
 * :mod:`repro.relay` — multi-hop relay chains: per-hop now-or-ship
   decisions, store-and-forward transfers, outage campaigns.
 * :mod:`repro.mission` — end-to-end sector-sweep missions, ferry
@@ -23,7 +23,7 @@ The package is organised bottom-up:
 * :mod:`repro.faults` — deterministic fault injection: plans, outage
   schedules, the kernel injector, the ``repro chaos`` runner.
 * :mod:`repro.exec` — the process-wide worker pool behind campaigns
-  and the engine's fan-out (result-neutral by contract).
+  (result-neutral by contract).
 * :mod:`repro.store` — the persistent content-addressed result store
   and incremental sweeps.
 * :mod:`repro.obs` — tracing, metrics, events and run manifests.
@@ -69,7 +69,7 @@ from .api import (
     utility_curve,
 )
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     # Stable façade (repro.api)

@@ -240,12 +240,11 @@ def solve(
 def solve_batch(
     scenarios: Iterable[Scenario],
     engine: Optional[BatchSolverEngine] = None,
-    parallel: Optional[bool] = None,
     obs: Optional[ObsContext] = None,
     cache=None,
     refresh: bool = False,
 ) -> RunResult:
-    """Solve Eq. 2 for a fleet of scenarios in one vectorised pass.
+    """Solve Eq. 2 for a fleet of scenarios in serial vectorised passes.
 
     Returns a :class:`RunResult` delegating to the
     :class:`BatchResult` (iteration/indexing included).
@@ -258,11 +257,10 @@ def solve_batch(
         from .store import solve_batch_incremental
 
         result, _ = solve_batch_incremental(
-            eng, scenarios, store, parallel=parallel, obs=obs,
-            refresh=refresh,
+            eng, scenarios, store, obs=obs, refresh=refresh
         )
     else:
-        result = eng.solve_batch(scenarios, parallel=parallel, obs=obs)
+        result = eng.solve_batch(scenarios, obs=obs)
     manifest = RunManifest.build(
         kind="solve_batch",
         config={"n": len(result)},

@@ -20,33 +20,32 @@ evaluated on row-aligned distance arrays:
    grid candidate (the edge cases the paper warns about) get one
    vectorised rescan of their bracket on a finer sub-grid; there is no
    scalar fallback.  Both kernels share one boundary-snap rule.
-4. **Memoisation** — solved instances are cached by their full
-   parameter tuple in an LRU whose values are plain 9-float row tuples
-   (one per result column), so planners re-solving the same geometry
-   and repeated sweeps cost one hash lookup.  A batch reads and writes
-   the memo under one lock each and never builds per-row objects: its
-   result stays columnar from the gathered parameters to
-   :class:`BatchResult`.
-5. **Chunked fan-out** — very large batches are split into chunks
-   solved on the persistent :mod:`repro.exec` thread pool (NumPy
-   releases the GIL for the heavy array ops).  Every kernel step is
-   row-local, so ``chunk_size`` is scheduling only: ``solve_batch(xs)[i]``
-   is bit-identical to ``solve(xs[i])`` under any chunking and order.
+4. **Serial chunked passes** — a batch is solved in ``chunk_size``
+   slices, one after another, each written into one ``(9, n)`` result
+   block whose rows become the :class:`BatchResult` columns.  A batch
+   neither builds memo keys nor reads or writes the memo, and fans out
+   to no threads: since the exact kernel, keying, memo writes and the
+   thread hand-off cost more than the kernel itself (docs/PERFORMANCE.md,
+   "Serial batch passes").  Every kernel step is row-local, so
+   ``chunk_size`` is scheduling only: ``solve_batch(xs)[i]`` is
+   bit-identical to ``solve(xs[i])`` under any chunking and order.
+5. **Scalar memo** — :meth:`BatchSolverEngine.solve` caches solved
+   instances by their full parameter tuple in an LRU of plain 9-float
+   row tuples, so planners re-solving the same geometry one scenario
+   at a time cost one hash lookup.
 6. **Columnar sweeps** — a one-parameter sweep arrives as one
    :class:`~repro.core.scenario.ScenarioSweep` (a base scenario plus a
-   float64 column), not a list of scenarios.  Its memo keys are the
-   base key with each value put into the swept field's slot, its
-   parameter columns are the base's values broadcast around the swept
-   column, and its chunks are slices of that column; a row is built as
-   a :class:`~repro.core.scenario.Scenario` only to raise a validation
-   error.  Keys, columns and results equal those of the per-value
-   ``with_`` list.
+   float64 column), not a list of scenarios.  Its parameter columns
+   are the base's values broadcast around the swept column, and its
+   chunks are slices of that column; a row is built as a
+   :class:`~repro.core.scenario.Scenario` only to raise a validation
+   error.  Columns and results equal those of the per-value ``with_``
+   list.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, fields
 from typing import (
     TYPE_CHECKING,
@@ -282,7 +281,12 @@ class _Params:
 
 
 class BatchSolverEngine:
-    """Vectorised, memoised, optionally parallel solver of Eq. 2 fleets."""
+    """Vectorised solver of Eq. 2 fleets, with a memo for scalar solves.
+
+    ``max_workers`` is accepted and validated for callers that still
+    pass it, and has no effect: batches run serially (module docstring,
+    point 4).
+    """
 
     def __init__(
         self,
@@ -303,7 +307,6 @@ class BatchSolverEngine:
         self.grid_step_m = grid_step_m
         self.refine_tolerance_m = refine_tolerance_m
         self.chunk_size = chunk_size
-        self.max_workers = max_workers
         self._cache = LruCache(cache_size)
 
     # ------------------------------------------------------------------
@@ -361,82 +364,40 @@ class BatchSolverEngine:
     def solve_batch(
         self,
         scenarios: Iterable["Scenario"],
-        parallel: Optional[bool] = None,
         obs: Optional["ObsContext"] = None,
     ) -> BatchResult:
-        """Solve N scenarios in vectorised passes.
+        """Solve N scenarios in serial vectorised passes of ``chunk_size``.
 
         ``scenarios`` may be a :class:`~repro.core.scenario.ScenarioSweep`,
-        which is solved without building its rows.  ``parallel=None``
-        auto-enables the thread-pool fan-out once the batch spans
-        several chunks; ``True``/``False`` force it.  ``obs`` records an
-        ``engine.solve_batch`` span plus cache and batch-size metrics;
-        ``None`` leaves the hot path untouched.
+        which is solved without building its rows.  The memo is neither
+        read nor written.  ``obs`` records an ``engine.solve_batch`` span
+        plus batch-size metrics; ``None`` leaves the hot path untouched.
         """
         if not isinstance(scenarios, ScenarioSweep):
             scenarios = list(scenarios)
         if obs is not None and obs.tracer is not None:
             with obs.tracer.span("engine.solve_batch", n=len(scenarios)):
-                return self._solve_batch(scenarios, parallel, obs)
-        return self._solve_batch(scenarios, parallel, obs)
+                return self._solve_batch(scenarios, obs)
+        return self._solve_batch(scenarios, obs)
 
     def _solve_batch(
         self,
         scenario_list: "Union[List[Scenario], ScenarioSweep]",
-        parallel: Optional[bool],
         obs: Optional["ObsContext"],
     ) -> BatchResult:
         n = len(scenario_list)
-        sweep = isinstance(scenario_list, ScenarioSweep)
-        if sweep:
-            keys = self._sweep_keys(scenario_list)
-        else:
-            keys = [self._key(s) for s in scenario_list]
-        rows = self._cache.get_many(keys)
-        miss_idx = [i for i, row in enumerate(rows) if row is None]
         block = np.empty((_N_COLUMNS, n))
         rescan_rows = uncertified_rows = 0
-        if len(miss_idx) < n:
-            hit_idx = [i for i, row in enumerate(rows) if row is not None]
-            block[:, hit_idx] = np.array([rows[i] for i in hit_idx]).T
-
-        if miss_idx:
-            if sweep:
-                misses = scenario_list.take(miss_idx)
-            else:
-                misses = [scenario_list[i] for i in miss_idx]
-            chunks = [
-                misses[start:start + self.chunk_size]
-                for start in range(0, len(misses), self.chunk_size)
-            ]
-            if parallel is None:
-                # Threads only pay off with real cores to run NumPy's
-                # GIL-released array ops on; on one CPU they just add
-                # contention around the vectorised chunks.
-                parallel = len(chunks) > 1 and (os.cpu_count() or 1) > 1
-            if parallel and len(chunks) > 1:
-                from ..exec import default_backend
-
-                solved_chunks = default_backend().thread_map(
-                    self._solve_chunk, chunks, max_workers=self.max_workers
-                )
-            else:
-                solved_chunks = [self._solve_chunk(chunk) for chunk in chunks]
-            rescan_rows = sum(chunk[1] for chunk in solved_chunks)
-            uncertified_rows = sum(chunk[2] for chunk in solved_chunks)
-            solved = np.concatenate([chunk[0] for chunk in solved_chunks], axis=1)
-            block[:, miss_idx] = solved
-            self._cache.put_many(
-                zip([keys[i] for i in miss_idx], zip(*solved.tolist()))
+        for start in range(0, n, self.chunk_size):
+            stop = start + self.chunk_size
+            block[:, start:stop], rescans, uncertified = self._solve_chunk(
+                scenario_list[start:stop]
             )
+            rescan_rows += rescans
+            uncertified_rows += uncertified
 
         if obs is not None and obs.metrics is not None:
             metrics = obs.metrics
-            hits = n - len(miss_idx)
-            if hits:
-                metrics.counter("engine.cache.hits").inc(hits)
-            if miss_idx:
-                metrics.counter("engine.cache.misses").inc(len(miss_idx))
             if rescan_rows:
                 metrics.counter("engine.rescan_rows").inc(rescan_rows)
             if uncertified_rows:
@@ -529,19 +490,6 @@ class BatchSolverEngine:
         if base is None:
             return None
         return (base, self.grid_step_m, self.refine_tolerance_m)
-
-    def _sweep_keys(self, sweep: ScenarioSweep) -> List[Optional[tuple]]:
-        """``[self._key(row) for row in sweep]`` without building a row:
-        each value goes into the swept field's slot of the base key."""
-        base = self._key(sweep.base)
-        if base is None:
-            return [None] * len(sweep)
-        point, grid, tolerance = base
-        head, tail = point[:sweep.key_slot], point[sweep.key_slot + 1:]
-        return [
-            ((*head, value, *tail), grid, tolerance)
-            for value in sweep.values.tolist()
-        ]
 
     def _tolerance_m(self) -> float:
         """Resolution stamped on every decision this engine solves."""

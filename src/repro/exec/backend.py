@@ -1,11 +1,11 @@
 """The process-wide execution backend: one pool, many call sites.
 
-Every parallel stage in the pipeline — measurement campaigns, relay
-campaigns, the batch engine's thread fan-out — used to
-build a fresh executor per invocation.  :class:`ExecBackend` owns
-**persistent, lazily-spawned** pools instead: the first ``map`` pays
-the fork, every later one reuses the warm workers (the
-``exec.pool_reuse`` counter records how often that pays off).
+Every parallel stage in the pipeline — measurement campaigns and relay
+campaigns — used to build a fresh executor per invocation.
+:class:`ExecBackend` owns **persistent, lazily-spawned** pools
+instead: the first ``map`` pays the fork, every later one reuses the
+warm workers (the ``exec.pool_reuse`` counter records how often that
+pays off).
 
 Contracts the backend guarantees:
 
@@ -273,12 +273,12 @@ class ExecBackend:
     ) -> list:
         """Ordered ``map`` on a persistent thread pool.
 
-        For GIL-releasing NumPy stages (the batch engine's chunk
-        fan-out).  Pools are cached per width so callers pinning
-        ``max_workers`` keep getting the width they asked for.  When a
-        task raises, the tasks not yet started are cancelled and the
-        running ones finish before the error propagates, so a failed
-        call leaves no work behind.
+        For GIL-releasing NumPy stages; no stage of the package calls
+        it (the batch engine solves serially).  Pools are cached per
+        width so callers pinning ``max_workers`` keep getting the width
+        they asked for.  When a task raises, the tasks not yet started
+        are cancelled and the running ones finish before the error
+        propagates, so a failed call leaves no work behind.
         """
         self._fork_guard()
         key = int(max_workers) if max_workers else 0

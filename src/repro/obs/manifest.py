@@ -42,7 +42,8 @@ class ManifestSchemaError(ValueError):
     """A manifest document does not match the supported schema."""
 
 
-_GIT_REV_CACHE: Dict[str, Optional[str]] = {}
+#: Revision per start directory; ``None`` keys this module's checkout.
+_GIT_REV_CACHE: Dict[Optional[str], Optional[str]] = {}
 
 
 def git_revision(start: Optional[Path] = None) -> Optional[str]:
@@ -51,12 +52,13 @@ def git_revision(start: Optional[Path] = None) -> Optional[str]:
     Resolved by reading ``.git/HEAD`` (and the ref file or
     ``packed-refs`` it points to) — pure file reads, no subprocess, so
     it is safe to call from library code and deterministic within one
-    checkout.  The result is cached per start directory.
+    checkout.  The result is cached per start directory, and the cache
+    is consulted before any path is resolved.
     """
-    base = Path(start) if start is not None else Path(__file__).resolve()
-    key = str(base)
+    key = None if start is None else str(start)
     if key in _GIT_REV_CACHE:
         return _GIT_REV_CACHE[key]
+    base = Path(start) if start is not None else Path(__file__).resolve()
     rev = _read_git_revision(base)
     _GIT_REV_CACHE[key] = rev
     return rev

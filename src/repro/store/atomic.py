@@ -1,11 +1,16 @@
 """Crash-safe filesystem primitives for the result store.
 
-Every byte the store writes goes through :func:`atomic_write_bytes`
-(tmp file + ``os.replace``), so a reader can never observe a torn
-entry: it sees the old payload, the new payload, or nothing.  This is
-the *only* module under :mod:`repro.store` allowed to open files for
-writing — reprolint rule RL107 rejects any other write path, which
-keeps the crash-safety argument local to this file.
+Every entry the store writes, and every index write that adds or
+removes entries, goes through :func:`atomic_write_bytes` (tmp file +
+``fsync`` + ``os.replace``), so a reader can never observe a torn
+entry: it sees the old payload, the new payload, or nothing.  An LRU
+refresh of the index goes through :func:`overwrite_bytes` instead: in
+place, no rename, no ``fsync``; a refresh changes only ticks, and a
+torn or lost one reads as a damaged index, which the store rebuilds
+and counts.  This is the *only* module under :mod:`repro.store`
+allowed to open files for writing — reprolint rule RL107 rejects any
+other write path, which keeps the crash-safety argument local to this
+file.
 
 :class:`FileLock` serialises index mutations across processes with an
 advisory ``flock`` where the platform offers one, and degrades to a
@@ -20,7 +25,7 @@ import os
 from pathlib import Path
 from typing import Optional
 
-__all__ = ["FileLock", "atomic_write_bytes", "atomic_write_text"]
+__all__ = ["FileLock", "atomic_write_bytes", "atomic_write_text", "overwrite_bytes"]
 
 try:  # pragma: no cover - platform probe
     import fcntl
@@ -56,6 +61,26 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 def atomic_write_text(path: Path, text: str) -> None:
     """UTF-8 convenience wrapper over :func:`atomic_write_bytes`."""
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def overwrite_bytes(path: Path, data: bytes) -> None:
+    """Overwrite ``path`` with ``data`` in place: no tmp file, rename or
+    ``fsync``.
+
+    Not atomic and not durable: a crash, or a reader that does not hold
+    the writer's lock, may see the old bytes, the new ones, a mix or a
+    truncated file.  Only for files whose damage the caller detects and
+    repairs.  A missing file is written with :func:`atomic_write_bytes`.
+    Raises ``OSError`` on failure.
+    """
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
+        atomic_write_bytes(path, data)
+        return
+    with handle:
+        handle.write(data)
+        handle.truncate()
 
 
 class FileLock:

@@ -146,8 +146,9 @@ def record_store_metrics(
 # Entry codec
 # ----------------------------------------------------------------------
 
-#: One decoded group: its columns (views of the entry's tail) and tolerance.
-Group = Tuple[Dict[str, np.ndarray], float]
+#: One decoded group: its ``(9, n)`` float64 block (a view of the
+#: entry's tail, rows in :func:`_columns` order) and tolerance.
+Group = Tuple[np.ndarray, float]
 
 
 def _group_entry(
@@ -166,14 +167,12 @@ def _group_entry(
     return body, tail
 
 
-def _decode_group(entry: Optional[Entry]) -> Optional[Group]:
-    """Columns + tolerance of one entry, or ``None`` if missing or malformed.
+def _decode_group(entry: Entry) -> Optional[Group]:
+    """Block + tolerance of one entry, or ``None`` if it is malformed.
 
     Refuses any column list but :func:`_columns`' and any tail that is
     not exactly ``9 · n`` float64 values.
     """
-    if entry is None:
-        return None
     body, tail = entry
     names = _columns()
     try:
@@ -188,8 +187,7 @@ def _decode_group(entry: Optional[Entry]) -> Optional[Group]:
         return None
     if not ok:
         return None
-    rows = np.frombuffer(tail, dtype="<f8").reshape(len(names), n)
-    return dict(zip(names, rows)), tolerance
+    return np.frombuffer(tail, dtype="<f8").reshape(len(names), n), tolerance
 
 
 # ----------------------------------------------------------------------
@@ -233,60 +231,41 @@ def _sweep_group_key(
 # Merging machinery shared by the batch and sweep paths
 # ----------------------------------------------------------------------
 
-def _assemble(
-    n: int,
-    groups: List[Tuple[int, int]],
-    decoded: List[Optional[Group]],
-    solved: Optional["BatchResult"],
-    missing: List[int],
-) -> "BatchResult":
-    """Merge cached groups and freshly solved groups in request order."""
-    from ..engine.batch import BatchResult
-
-    names = _columns()
-    columns = {name: np.empty(n, dtype=float) for name in names}
-    tolerance = 1e-6
-    cursor = 0
-    for gi, (start, stop) in enumerate(groups):
-        if decoded[gi] is not None:
-            cached_columns, cached_tol = decoded[gi]
-            for name in names:
-                columns[name][start:stop] = cached_columns[name]
-            tolerance = max(tolerance, cached_tol)
-    if solved is not None:
-        tolerance = max(tolerance, solved.tolerance_m)
-        for gi in missing:
-            start, stop = groups[gi]
-            width = stop - start
-            for name in names:
-                columns[name][start:stop] = getattr(solved, name)[
-                    cursor:cursor + width
-                ]
-            cursor += width
-    return BatchResult(tolerance_m=tolerance, **columns)
-
-
 def _fetch_groups(
     store: ResultStore,
     keys: List[str],
+    groups: List[Tuple[int, int]],
+    block: np.ndarray,
     refresh: bool,
     obs: Optional["ObsContext"],
-) -> List[Optional[Group]]:
-    """Decode every cached group (None = miss), batching LRU touches."""
-    decoded: List[Optional[Group]] = []
+) -> Tuple[List[int], float]:
+    """Copy every cached group into its columns of the ``(9, n)``
+    ``block``; returns the missing group indices and the largest cached
+    tolerance (1e-6 at least).
+
+    Each entry's bytes are released once copied, before the next entry
+    is read, and the LRU touches are batched into one index write.
+    """
+    missing: List[int] = []
     touched: List[str] = []
+    tolerance = 1e-6
     with _maybe_span(obs, "store.get", groups=len(keys)):
-        for key in keys:
-            if refresh:
-                decoded.append(None)
+        for gi, key in enumerate(keys):
+            entry = (
+                None if refresh
+                else store.get(key, touch=False, decode=_decode_group)
+            )
+            if entry is None:
+                missing.append(gi)
                 continue
-            entry = _decode_group(store.get(key, touch=False))
-            decoded.append(entry)
-            if entry is not None:
-                touched.append(key)
+            start, stop = groups[gi]
+            block[:, start:stop] = entry[0]
+            tolerance = max(tolerance, entry[1])
+            touched.append(key)
+            del entry
         if touched:
             store.touch_many(touched)
-    return decoded
+    return missing, tolerance
 
 
 def _store_groups(
@@ -318,7 +297,6 @@ def _run_groups(
     groups: List[Tuple[int, int]],
     n: int,
     missing_scenarios_for: "callable",
-    parallel: Optional[bool],
     obs: Optional["ObsContext"],
     refresh: bool,
 ) -> Tuple["BatchResult", StoreReport]:
@@ -329,20 +307,27 @@ def _run_groups(
     :class:`~repro.core.scenario.ScenarioSweep` of their values), so a
     fully-warm run never builds them at all.
     """
+    from ..engine.batch import BatchResult
+
     before = store.snapshot_counters()
-    decoded = _fetch_groups(store, keys, refresh, obs)
-    missing = [gi for gi, entry in enumerate(decoded) if entry is None]
-    warm_points = sum(
-        groups[gi][1] - groups[gi][0]
-        for gi in range(len(groups))
-        if decoded[gi] is not None
-    )
-    solved: Optional["BatchResult"] = None
+    block = np.empty((len(_columns()), n))
+    missing, tolerance = _fetch_groups(store, keys, groups, block, refresh, obs)
+    warm_points = n
     if missing:
-        to_solve = missing_scenarios_for(missing)
-        solved = engine.solve_batch(to_solve, parallel=parallel, obs=obs)
+        solved = engine.solve_batch(missing_scenarios_for(missing), obs=obs)
         _store_groups(store, keys, groups, missing, solved, obs)
-    result = _assemble(n, groups, decoded, solved, missing)
+        tolerance = max(tolerance, solved.tolerance_m)
+        cursor = 0
+        for gi in missing:
+            start, stop = groups[gi]
+            width = stop - start
+            for row, name in enumerate(_columns()):
+                block[row, start:stop] = getattr(solved, name)[
+                    cursor:cursor + width
+                ]
+            cursor += width
+        warm_points -= cursor
+    result = BatchResult(*block, tolerance_m=tolerance)
     report = StoreReport(
         enabled=True,
         points=n,
@@ -386,13 +371,10 @@ def solve_incremental(
         return engine.solve(scenario, obs=obs), StoreReport(enabled=False)
     before = store.snapshot_counters()
     key = _group_key(engine, [point])
-    entry = None if refresh else _decode_group(store.get(key))
+    entry = None if refresh else store.get(key, decode=_decode_group)
     if entry is not None:
-        columns, tolerance = entry
-        decision = OptimalDecision(
-            tolerance_m=tolerance,
-            **{name: float(columns[name][0]) for name in _columns()},
-        )
+        rows, tolerance = entry
+        decision = OptimalDecision(*rows[:, 0].tolist(), tolerance_m=tolerance)
         report = StoreReport(
             enabled=True, points=1, warm_points=1, entry_hits=1
         )
@@ -411,7 +393,6 @@ def solve_batch_incremental(
     engine: "BatchSolverEngine",
     scenarios: Iterable["Scenario"],
     store: ResultStore,
-    parallel: Optional[bool] = None,
     obs: Optional["ObsContext"] = None,
     refresh: bool = False,
 ) -> Tuple["BatchResult", StoreReport]:
@@ -421,7 +402,7 @@ def solve_batch_incremental(
     with _maybe_span(obs, "store.key", points=n):
         points = [engine.point_key(s) for s in scenario_list]
     if n == 0 or any(point is None for point in points):
-        result = engine.solve_batch(scenario_list, parallel=parallel, obs=obs)
+        result = engine.solve_batch(scenario_list, obs=obs)
         return result, StoreReport(enabled=False, points=n)
     group_size = 1 if n <= _POINT_GROUP_LIMIT else _GROUP_SIZE
     groups = _group_bounds(n, group_size)
@@ -438,7 +419,7 @@ def solve_batch_incremental(
 
     return _run_groups(
         engine, store, keys, groups, n,
-        missing_scenarios_for, parallel, obs, refresh,
+        missing_scenarios_for, obs, refresh,
     )
 
 
@@ -492,5 +473,5 @@ def sweep_incremental(
 
     return _run_groups(
         engine, store, keys, groups, n,
-        missing_scenarios_for, None, obs, refresh,
+        missing_scenarios_for, obs, refresh,
     )

@@ -24,8 +24,11 @@ view numbers in it without copying or decoding them.
 
 Guarantees:
 
-* **atomicity** — payloads and the index are written tmp+rename
-  (:mod:`repro.store.atomic`), so readers never see torn entries;
+* **atomicity** — payloads, and index writes that add or remove
+  entries, are written tmp+rename with ``fsync``
+  (:mod:`repro.store.atomic`), so readers never see torn entries; an
+  LRU refresh rewrites the index in place without ``fsync``, and a
+  torn or lost one reads as a damaged index, rebuilt and counted;
 * **self-verification** — every entry carries the SHA-256 of its
   body's and tail's stored bytes; any file that is not exactly the
   document the store writes for its key (bit rot, truncation, appended
@@ -40,9 +43,11 @@ Guarantees:
   cache directory turns every operation into a counted no-op/miss; the
   caller recomputes and the run still succeeds.
 
-Concurrency: index mutations take an advisory inter-process
-:class:`~repro.store.atomic.FileLock` plus an in-process mutex; entry
-reads are lock-free (rename atomicity makes any visible file whole).
+Concurrency: index reads and mutations take an advisory inter-process
+:class:`~repro.store.atomic.FileLock` plus an in-process mutex (an LRU
+refresh rewrites the index in place, so only a lock holder may read
+it); entry reads are lock-free (rename atomicity makes any visible
+entry file whole).
 """
 
 from __future__ import annotations
@@ -53,9 +58,14 @@ import os
 import shutil
 import threading
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from .atomic import FileLock, atomic_write_bytes, atomic_write_text
+from .atomic import (
+    FileLock,
+    atomic_write_bytes,
+    atomic_write_text,
+    overwrite_bytes,
+)
 from .fingerprint import canonical_json
 
 __all__ = [
@@ -306,7 +316,12 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Entry I/O
     # ------------------------------------------------------------------
-    def get(self, key: str, touch: bool = True) -> Optional[Entry]:
+    def get(
+        self,
+        key: str,
+        touch: bool = True,
+        decode: Optional[Callable[[Entry], Any]] = None,
+    ) -> Any:
         """The stored ``(body, tail)`` for ``key``, or ``None``.
 
         Corrupt entries (anything but the exact document
@@ -314,8 +329,10 @@ class ResultStore:
         ``corrupt`` — the caller simply sees a miss.  Filesystem errors
         count as ``errors`` and also miss.  The tail is a read-only view
         of the bytes read, empty when the entry was stored without one.
-        ``touch=False`` skips the LRU-tick refresh so batch readers can
-        coalesce it into one :meth:`touch_many` index write.
+        ``decode`` maps ``(body, tail)`` to what ``get`` returns; when it
+        returns ``None`` the entry is refused, and counted and dropped
+        as corrupt.  ``touch=False`` skips the LRU-tick refresh so batch
+        readers can coalesce it into one :meth:`touch_many` index write.
         """
         path = self._object_path(key)
         try:
@@ -329,6 +346,8 @@ class ResultStore:
             self._count("misses")
             return None
         entry = _parse_document(key, raw)
+        if entry is not None and decode is not None:
+            entry = decode(entry)
         if entry is None:
             self._count("corrupt")
             self._count("misses")
@@ -422,7 +441,11 @@ class ResultStore:
         Skips the write when the present keys, in the order a refresh
         would leave them (by last occurrence), already hold the newest
         ticks of an intact on-disk index: the refresh could then change
-        no eviction order, only renumber it.
+        no eviction order, only renumber it.  The index is rewritten in
+        place, without ``fsync`` (:func:`~repro.store.atomic.overwrite_bytes`):
+        a touch changes only ticks, and a torn or lost refresh reads as
+        a damaged index, rebuilt and counted, so it can reorder eviction
+        but never change a result.
         """
         keys = [key for key in keys if key]
         if not keys:
@@ -444,7 +467,10 @@ class ResultStore:
                         dirty = True
                 if dirty:
                     index["tick"] = tick
-                    self._save_index(index)
+                    overwrite_bytes(
+                        self.index_path,
+                        (canonical_json(index) + "\n").encode("utf-8"),
+                    )
         except OSError:
             self._count("errors")
 
@@ -493,7 +519,8 @@ class ResultStore:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Entry count, byte totals, cap and location (JSON-ready)."""
-        index = self._load_index()
+        with FileLock(self.lock_path):
+            index = self._load_index()
         entries: Dict[str, Dict[str, int]] = index["entries"]  # type: ignore[assignment]
         return {
             "path": str(self.root),
@@ -522,11 +549,10 @@ class ResultStore:
 
     def clear(self) -> int:
         """Drop every entry; returns the number removed."""
-        index = self._load_index()
-        removed = len(index["entries"])  # type: ignore[arg-type]
         try:
-            shutil.rmtree(self.root / "objects", ignore_errors=True)
             with FileLock(self.lock_path):
+                removed = len(self._load_index()["entries"])  # type: ignore[arg-type]
+                shutil.rmtree(self.root / "objects", ignore_errors=True)
                 self._save_index(self._empty_index())
         except OSError:
             self._count("errors")

@@ -194,21 +194,44 @@ class TestMemoisation:
     def test_cache_hits_on_repeat(self):
         engine = fresh_engine()
         scenarios = [airplane_scenario(mdata_mb=m) for m in (5.0, 10.0, 15.0)]
-        engine.solve_batch(scenarios)
+        first = [engine.solve(s) for s in scenarios]
         before = engine.cache_info()
-        again = engine.solve_batch(scenarios)
+        again = [engine.solve(s) for s in scenarios]
         after = engine.cache_info()
         assert after.hits == before.hits + len(scenarios)
         assert after.misses == before.misses
-        assert len(again) == len(scenarios)
+        assert again == first
 
-    def test_solve_and_batch_share_cache(self):
-        engine = fresh_engine()
-        scenario = quadrocopter_scenario()
-        engine.solve(scenario)
-        misses_before = engine.cache_info().misses
-        engine.solve_batch([scenario])
-        assert engine.cache_info().misses == misses_before
+    def test_batch_leaves_cache_info_unchanged(self):
+        pool = memo_pool()
+        engine = fresh_engine(cache_size=4)
+        for scenario in pool[:6]:
+            engine.solve(scenario)
+        before = engine.cache_info()
+        order = list(engine._cache._data)
+        for batch in (pool, pool[::-1], pool[2:5] * 3, []):
+            engine.solve_batch(batch)
+            engine.sweep(pool[0], "rho_per_m", [1e-4, 2e-3, 1e-4])
+            assert engine.cache_info() == before
+            assert list(engine._cache._data) == order
+
+    def test_batch_never_calls_thread_map(self, monkeypatch):
+        from repro.exec import ExecBackend
+
+        calls = []
+        original = ExecBackend.thread_map
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExecBackend, "thread_map", spy)
+        pool = memo_pool() * 5
+        engine = fresh_engine(chunk_size=3, max_workers=4)
+        engine.solve_batch(pool)
+        engine.sweep(airplane_scenario(), "rho_per_m", np.geomspace(1e-5, 1e-2, 50))
+        solve_batch(pool, engine=engine, cache=False)
+        assert calls == []
 
     def test_cache_clear(self):
         engine = fresh_engine()
@@ -241,30 +264,39 @@ class TestMemoisation:
         assert coarse._key(s) != fine._key(s)
 
 
-class TestChunkingAndParallel:
-    def test_chunked_parallel_matches_serial(self):
+class TestChunking:
+    def test_chunked_matches_one_pass(self):
         scenarios = [
             airplane_scenario(mdata_mb=5.0 + 0.5 * i) for i in range(40)
         ]
-        serial = fresh_engine(cache_size=0, chunk_size=8).solve_batch(
-            scenarios, parallel=False
-        )
-        threaded = fresh_engine(
-            cache_size=0, chunk_size=8, max_workers=4
-        ).solve_batch(scenarios, parallel=True)
-        np.testing.assert_allclose(
-            serial.distance_m, threaded.distance_m, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            serial.utility, threaded.utility, rtol=1e-12
-        )
+        one_pass = fresh_engine(cache_size=0).solve_batch(scenarios)
+        chunked = fresh_engine(cache_size=0, chunk_size=8).solve_batch(scenarios)
+        assert_bitwise_equal(chunked, one_pass)
 
-    def test_single_chunk_ignores_parallel_flag(self):
-        engine = fresh_engine(chunk_size=1024)
-        batch = engine.solve_batch(
-            [airplane_scenario(), quadrocopter_scenario()], parallel=True
-        )
-        assert len(batch) == 2
+    def test_max_workers_has_no_effect(self):
+        scenarios = [airplane_scenario(), quadrocopter_scenario()] * 5
+        want = fresh_engine(chunk_size=3).solve_batch(scenarios)
+        got = fresh_engine(chunk_size=3, max_workers=4).solve_batch(scenarios)
+        assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 2048, None])
+    def test_rows_bitwise_equal_scalar_solves(self, chunk_size):
+        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
+        pool = memo_pool() + [
+            make_scenario(
+                name, rho_per_m=rho, d0_m=d0, mdata_mb=mdata, speed_mps=speed
+            )
+            for name in ("airplane", "quadrocopter")
+            for rho in (0.0, 1e-5, 3e-3, 1e-2)
+            for d0, mdata, speed in ((40.0, 1.0, 3.0), (290.0, 80.0, 24.0))
+        ]
+        batch = fresh_engine(**kwargs).solve_batch(pool)
+        for i, scenario in enumerate(pool):
+            single = fresh_engine(**kwargs).solve(scenario)
+            for name in COLUMNS:
+                got = np.float64(getattr(batch, name)[i]).tobytes()
+                assert got == np.float64(getattr(single, name)).tobytes(), (i, name)
+            assert batch.tolerance_m == single.tolerance_m
 
     def test_empty_batch(self):
         batch = fresh_engine().solve_batch([])
@@ -371,7 +403,8 @@ def memo_pool():
     ]
 
 
-#: ``cache_size`` and the batches (pool indices) each case solves in turn.
+#: ``cache_size`` and the batches (pool indices) each case solves in
+#: turn, after the scalar warm-up ``MEMO_WARMUP``.
 MEMO_CASES = {
     "mixed_hit_miss": (8, [[0, 1, 2, 8, 3], [2, 4, 0, 9, 5, 1], [10, 3, 8, 4]]),
     "duplicates_in_batch": (8, [[0, 1, 0, 8, 1, 2, 8], [1, 0, 3, 3, 10, 10]]),
@@ -382,33 +415,31 @@ MEMO_CASES = {
     ),
 }
 
-#: ``(hits, misses, currsize, LRU order as pool indices)`` after each
-#: batch, recorded from the engine that memoised whole
-#: ``OptimalDecision`` objects through one ``get``/``put`` per row.
+#: Pool rows solved one by one before the batches: two cacheable rows
+#: and one uncacheable row (8), which is solved but never looked up.
+MEMO_WARMUP = (3, 0, 8)
+
+#: ``(hits, misses, currsize, LRU order as pool indices)`` after the
+#: warm-up.  Batches neither read nor write the memo, so every batch
+#: leaves it so.
 MEMO_EXPECTED = {
-    "cache_size_zero": [(0, 0, 0, []), (0, 0, 0, [])],
-    "duplicates_in_batch": [(0, 5, 3, [0, 1, 2]), (2, 9, 5, [2, 1, 0, 3, 10])],
-    "larger_than_cache": [
-        (0, 7, 3, [4, 5, 10]),
-        (3, 9, 3, [4, 0, 6]),
-        (5, 14, 3, [7, 1, 2]),
-    ],
-    "mixed_hit_miss": [
-        (0, 4, 4, [0, 1, 2, 3]),
-        (3, 6, 6, [3, 2, 0, 1, 4, 5]),
-        (5, 7, 7, [2, 0, 1, 5, 3, 4, 10]),
-    ],
-    "uncacheable_only": [(0, 0, 0, []), (0, 0, 0, [])],
+    "cache_size_zero": (0, 0, 0, []),
+    "duplicates_in_batch": (0, 2, 2, [3, 0]),
+    "larger_than_cache": (0, 2, 2, [3, 0]),
+    "mixed_hit_miss": (0, 2, 2, [3, 0]),
+    "uncacheable_only": (0, 2, 2, [3, 0]),
 }
 
 
 def run_memo_case(name):
-    """Solve one case's batches; returns their results and the memo
-    state (see ``MEMO_EXPECTED``) after each."""
+    """Warm the memo, then solve one case's batches; returns their
+    results and the memo state (see ``MEMO_EXPECTED``) after each."""
     cache_size, batches = MEMO_CASES[name]
     pool = memo_pool()
     engine = fresh_engine(cache_size=cache_size)
     index = {engine.point_key(s): i for i, s in enumerate(pool)}
+    for i in MEMO_WARMUP:
+        engine.solve(pool[i])
     results, states = [], []
     for batch in batches:
         results.append(engine.solve_batch([pool[i] for i in batch]))
@@ -439,11 +470,12 @@ class TestMemoEquivalence:
     @pytest.mark.parametrize("name", sorted(MEMO_CASES))
     def test_counters_and_lru_order_pinned(self, name):
         _, states = run_memo_case(name)
-        assert states == MEMO_EXPECTED[name]
+        assert states == [MEMO_EXPECTED[name]] * len(MEMO_CASES[name][1])
 
     def test_memo_rows_are_immutable_tuples(self):
         engine = fresh_engine()
-        engine.solve_batch(memo_pool())
+        for scenario in memo_pool():
+            engine.solve(scenario)
         rows = list(engine._cache._data.values())
         assert rows and all(
             type(row) is tuple and len(row) == len(COLUMNS)
@@ -460,7 +492,7 @@ class TestAliasing:
         snapshot = fresh_engine(cache_size=0).solve_batch(pool)
         for name in COLUMNS:
             getattr(first, name)[:] = -1.0
-        warm = engine.solve_batch(pool)  # every keyed row is a memo hit
+        warm = engine.solve_batch(pool)  # solved again: no memo read
         assert_bitwise_equal(warm, snapshot)
         for name in COLUMNS:
             getattr(warm, name)[:] = np.nan
@@ -468,7 +500,7 @@ class TestAliasing:
         for i, scenario in enumerate(pool):
             assert engine.solve(scenario) == snapshot[i]
 
-    def test_solve_equals_batch_row_after_batch_fills_memo(self):
+    def test_solve_equals_batch_row(self):
         pool = memo_pool()
         for kwargs in ({}, {"refine_tolerance_m": 1e-8}, {"grid_step_m": 5.0}):
             engine = fresh_engine(**kwargs)
@@ -515,9 +547,7 @@ class TestValidationOrder:
         for chunk_size in (1, 2, 2048):
             for batch, message in cases:
                 with pytest.raises(ValueError, match=message):
-                    fresh_engine(chunk_size=chunk_size).solve_batch(
-                        batch, parallel=False
-                    )
+                    fresh_engine(chunk_size=chunk_size).solve_batch(batch)
         with pytest.raises(ValueError, match="data size must be positive"):
             fresh_engine().solve(bad_bits)
 
@@ -587,18 +617,18 @@ SWEEP_ENGINES = {
 }
 
 #: ``(hits, misses, currsize, LRU order as value indices)`` after a
-#: sweep of ``SWEEP_VALUES[field]``, cold or after a warm-up sweep of
-#: values 4 and 1; recorded from the engine that swept through one
-#: ``with_`` copy per value.  The same for every field.
+#: sweep of ``SWEEP_VALUES[field]``, cold or after scalar solves of
+#: values 4 and 1: the sweep leaves the memo as it found it, whatever
+#: the path.  The same for every field.
 SWEEP_MEMO_EXPECTED = {
     ("cache_size_0", False): (0, 0, 0, []),
     ("cache_size_0", True): (0, 0, 0, []),
-    ("cache_size_3", False): (0, 6, 3, [1, 4, 5]),
-    ("cache_size_3", True): (3, 5, 3, [0, 2, 5]),
-    ("chunk_1", False): (0, 6, 5, [0, 2, 1, 4, 5]),
-    ("chunk_1", True): (3, 5, 5, [1, 4, 0, 2, 5]),
-    ("chunk_2048", False): (0, 6, 5, [0, 2, 1, 4, 5]),
-    ("chunk_2048", True): (3, 5, 5, [1, 4, 0, 2, 5]),
+    ("cache_size_3", False): (0, 0, 0, []),
+    ("cache_size_3", True): (0, 2, 2, [4, 1]),
+    ("chunk_1", False): (0, 0, 0, []),
+    ("chunk_1", True): (0, 2, 2, [4, 1]),
+    ("chunk_2048", False): (0, 0, 0, []),
+    ("chunk_2048", True): (0, 2, 2, [4, 1]),
 }
 
 
@@ -611,7 +641,8 @@ def run_sweep(path, base, field, values, warm=False, **engine_kwargs):
     the result and ``(hits, misses, currsize, LRU order)``."""
     engine = fresh_engine(**engine_kwargs)
     if warm:
-        engine.solve_batch(sweep_variants(base, field, [values[4], values[1]]))
+        for variant in sweep_variants(base, field, [values[4], values[1]]):
+            engine.solve(variant)
     if path == "list":
         result = engine.solve_batch(sweep_variants(base, field, values))
     elif path == "container":
@@ -648,7 +679,8 @@ class TestScenarioSweepEquivalence:
         values = [v for v in SWEEP_VALUES[field] if v < 90.0]
         sweep_ = ScenarioSweep(base, field, values)
         engine = fresh_engine()
-        assert engine._sweep_keys(sweep_) == [None] * len(values)
+        assert engine.point_key(base) is None
+        assert [engine.point_key(row) for row in sweep_] == [None] * len(values)
         want = fresh_engine().solve_batch(sweep_variants(base, field, values))
         assert_bitwise_equal(engine.solve_batch(sweep_), want)
         assert_bitwise_equal(engine.sweep(base, field, values), want)
@@ -659,8 +691,8 @@ class TestScenarioSweepEquivalence:
         base = quadrocopter_scenario(d0_m=300.0)
         sweep_ = ScenarioSweep(base, field, SWEEP_VALUES[field])
         engine = fresh_engine(grid_step_m=0.5)
-        keys = engine._sweep_keys(sweep_)
-        assert keys == [engine.point_key(row) for row in sweep_]
+        keys = [engine.point_key(row) for row in sweep_]
+        assert None not in keys
         assert keys == [
             engine.point_key(variant)
             for variant in sweep_variants(base, field, SWEEP_VALUES[field])
@@ -675,14 +707,14 @@ class TestScenarioSweepEquivalence:
             assert_bitwise_equal(engine.sweep(base, "speed_mps", values), got)
         assert engine.cache_info().currsize == 0
 
-    def test_threaded_chunks_equal_serial(self):
+    def test_chunked_sweep_equals_variant_list(self):
         base = airplane_scenario()
         values = np.linspace(1e-5, 1e-2, 1000)
         want = fresh_engine(cache_size=0).solve_batch(
-            sweep_variants(base, "rho_per_m", values), parallel=False
+            sweep_variants(base, "rho_per_m", values)
         )
         got = fresh_engine(chunk_size=97).solve_batch(
-            ScenarioSweep(base, "rho_per_m", values), parallel=True
+            ScenarioSweep(base, "rho_per_m", values)
         )
         assert_bitwise_equal(got, want)
 
@@ -780,17 +812,14 @@ class TestScenarioSweepErrors:
         for solve in (
             lambda: engine.solve_batch(ScenarioSweep(base, param, values)),
             lambda: engine.sweep(base, param, values),
-            lambda: engine.solve_batch(
-                ScenarioSweep(base, param, values), parallel=False
-            ),
         ):
             calls.clear()
             with pytest.raises(Exception) as got:
                 solve()
             assert type(got.value) is type(want.value)
             assert str(got.value) == str(want.value)
-        # Solved serially, only the first offending value is built as a
-        # Scenario (threaded chunks each validate their own rows).
+        # Chunks are solved in order, so only the first offending value
+        # is built as a Scenario.
         assert calls == [values[first]]
         assert engine.cache_info().currsize == 0  # a failed sweep memoises nothing
 
@@ -900,10 +929,14 @@ class TestScenarioSweepObs:
             lambda: ScenarioSweep(base, "rho_per_m", values),
         ):
             engine = fresh_engine(chunk_size=4)
-            engine.solve_batch(sweep_variants(base, "rho_per_m", values[:2]))
+            for variant in sweep_variants(base, "rho_per_m", values[:2]):
+                engine.solve(variant)  # memoised rows the batch must not read
             obs = ObsContext.enabled(deterministic=True)
             engine.solve_batch(rows(), obs=obs)
             reports.append(obs.metrics.to_dict())
         assert reports[0] == reports[1]
-        assert reports[0]["counters"]["engine.cache.hits"] == 9
+        assert not any(
+            name.startswith("engine.cache.") for name in reports[0]["counters"]
+        )
+        assert reports[0]["counters"]["engine.batches"] == 1
         assert reports[0]["histograms"]["engine.batch.size"]["count"] == 1

@@ -103,6 +103,21 @@ class TestBuild:
         if rev is not None:  # running inside this repo's checkout
             assert len(rev) == 40
 
+    def test_git_rev_cache_resolves_no_path(self, monkeypatch):
+        """Once read, the module checkout's revision is served from the
+        cache without resolving any path."""
+        from pathlib import Path
+
+        rev = git_revision()
+
+        def no_resolve(self, strict=False):
+            raise AssertionError("git_revision resolved a path")
+
+        monkeypatch.setattr(Path, "resolve", no_resolve)
+        assert git_revision() == rev
+        manifest = RunManifest.build(kind="solve", config={}, outputs={})
+        assert manifest.git_rev == rev
+
     def test_pickle_round_trip(self):
         manifest = golden_manifest()
         clone = pickle.loads(pickle.dumps(manifest))

@@ -194,11 +194,12 @@ class TestEntryCodec:
             "columns": list(COLUMNS),
         }
         assert len(tail) == 9 * 3 * 8
-        columns, tolerance = _decode_group((body, memoryview(tail)))
+        block, tolerance = _decode_group((body, memoryview(tail)))
         assert tolerance == solved.tolerance_m
-        for name in COLUMNS:
+        assert block.shape == (9, 3) and block.dtype == np.float64
+        for row, name in zip(block, COLUMNS):
             np.testing.assert_array_equal(
-                columns[name], getattr(solved, name)[1:4], err_msg=name
+                row, getattr(solved, name)[1:4], err_msg=name
             )
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -226,6 +227,33 @@ class TestEntryCodec:
         )
         assert report.warm_points == 300
         assert_batches_equal(warm, cold)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_refused_entry_counts_as_corrupt(self, store, name):
+        """An entry that passes its checksum but that the codec refuses
+        is a corrupt miss, dropped and re-put: never a hit."""
+        scn = quadrocopter_scenario()
+        values = np.linspace(1.0, 20.0, 300)  # one eq2.sweep group
+        sweep_incremental(fresh_engine(), scn, "mdata_mb", values, store)
+        (path,) = sorted((store.root / "objects").rglob("*.json"))
+        body, tail = store.get(path.stem)
+        store.put(path.stem, *MALFORMED[name](body, bytes(tail)))
+        obs = ObsContext.enabled(deterministic=True)
+        _, report = sweep_incremental(
+            fresh_engine(), scn, "mdata_mb", values, store, obs=obs
+        )
+        counters = obs.metrics.to_dict()["counters"]
+        counts = {
+            name: counters.get(f"store.{name}", 0)
+            for name in ("hits", "misses", "corrupt", "puts")
+        }
+        assert counts == {"hits": 0, "misses": 1, "corrupt": 1, "puts": 1}
+        hit_ratio = counts["hits"] / (counts["hits"] + counts["misses"])
+        assert hit_ratio == 0.0
+        assert (report.entry_hits, report.entry_misses) == (0, 1)
+        (again,) = sorted((store.root / "objects").rglob("*.json"))
+        assert again == path
+        assert store.get(path.stem, decode=_decode_group) is not None
 
 
 class TestBatchIdentity:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro.engine import BatchSolverEngine
 from repro.store import ResultStore
-from repro.store.atomic import FileLock
+from repro.store.atomic import FileLock, overwrite_bytes
 
 
 class AlwaysWriteStore(ResultStore):
@@ -143,3 +143,57 @@ def test_repeated_warm_sweep_leaves_the_index_bytes(tmp_path):
         assert store.index_path.read_bytes() == index
     assert store.counters["hits"] == 6
     assert store.counters["puts"] == 3
+
+
+def _count_fsyncs(monkeypatch):
+    import os
+
+    calls = []
+    real = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real(fd))
+    return calls
+
+
+def test_refresh_rewrites_the_index_in_place_without_fsync(tmp_path, monkeypatch):
+    store = ResultStore(tmp_path / "cache")
+    fsyncs = _count_fsyncs(monkeypatch)
+    store.put_many({KEYS[0]: {"v": 0}, KEYS[1]: {"v": 1}})
+    assert len(fsyncs) == 3  # two entries and the index
+    before = store.index_path.stat().st_ino
+    fsyncs.clear()
+    store.touch_many([KEYS[1], KEYS[0]])
+    assert fsyncs == []
+    assert store.index_path.stat().st_ino == before
+    entries = store._load_index()["entries"]
+    assert entries[KEYS[0]]["tick"] > entries[KEYS[1]]["tick"]
+    store.put(KEYS[2], {"v": 2})
+    assert len(fsyncs) == 2  # put keeps its durable writes
+    assert store.index_path.stat().st_ino != before
+
+
+def test_overwrite_bytes_creates_and_truncates(tmp_path):
+    path = tmp_path / "index.json"
+    overwrite_bytes(path, b'{"entries":{"a":1,"b":2}}\n')  # missing: created
+    assert path.read_bytes() == b'{"entries":{"a":1,"b":2}}\n'
+    overwrite_bytes(path, b'{"entries":{}}\n')  # shorter: no stale tail
+    assert path.read_bytes() == b'{"entries":{}}\n'
+
+
+def test_torn_refresh_is_a_counted_rebuild(tmp_path):
+    """A refresh torn half-way reads as a damaged index: counted once,
+    rebuilt, and the warm sweep's results do not change."""
+    store = ResultStore(tmp_path / "cache")
+    scn = api.scenario("quadrocopter")
+    values = np.geomspace(1e-5, 1e-2, 5000)  # three store groups
+    cold = api.sweep(scn, "rho_per_m", values, cache=store)
+    index = store.index_path.read_bytes()
+    store.index_path.write_bytes(index[: len(index) // 2])
+    warm = api.sweep(
+        scn, "rho_per_m", values, engine=BatchSolverEngine(), cache=store
+    )
+    assert warm.manifest.to_json() == cold.manifest.to_json()
+    assert store.counters["corrupt"] == 1
+    assert store.counters["hits"] == 3
+    assert sorted(store._load_index()["entries"]) == sorted(
+        path.stem for path in (store.root / "objects").rglob("*.json")
+    )
