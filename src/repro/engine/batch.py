@@ -20,9 +20,10 @@ evaluated on row-aligned distance arrays:
    grid candidate (the edge cases the paper warns about) get one
    vectorised rescan of their bracket on a finer sub-grid; there is no
    scalar fallback.  Both kernels share one boundary-snap rule.
-4. **Serial chunked passes** — a batch is solved in ``chunk_size``
-   slices, one after another, each written into one ``(9, n)`` result
-   block whose rows become the :class:`BatchResult` columns.  A batch
+4. **Serial chunked passes** — a batch is stacked into one parameter
+   block and solved in ``chunk_size`` row views of it, one after
+   another, each written into one ``(9, n)`` result block whose rows
+   become the :class:`BatchResult` columns.  A batch
    neither builds memo keys nor reads or writes the memo, and fans out
    to no threads: since the exact kernel, keying, memo writes and the
    thread hand-off cost more than the kernel itself (docs/PERFORMANCE.md,
@@ -33,22 +34,24 @@ evaluated on row-aligned distance arrays:
    instances by their full parameter tuple in an LRU of plain 9-float
    row tuples, so planners re-solving the same geometry one scenario
    at a time cost one hash lookup.
-6. **Columnar sweeps** — a one-parameter sweep arrives as one
+6. **Columnar inputs** — a one-parameter sweep arrives as one
    :class:`~repro.core.scenario.ScenarioSweep` (a base scenario plus a
    float64 column), not a list of scenarios.  Its parameter columns
-   are the base's values broadcast around the swept column, and its
-   chunks are slices of that column; a row is built as a
-   :class:`~repro.core.scenario.Scenario` only to raise a validation
-   error.  Columns and results equal those of the per-value ``with_``
-   list.
+   are the base's values broadcast around the swept column; a row is
+   built as a :class:`~repro.core.scenario.Scenario` only to raise a
+   validation error.  Columns and results equal those of the per-value
+   ``with_`` list.  A caller that already stacked its scenarios into a
+   ``_Params`` block (the relay solvers, which reuse the block for
+   their boundary candidates) passes the block itself, and the engine
+   reads no scenario attribute again.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, fields
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Iterable,
     Iterator,
     List,
@@ -155,8 +158,18 @@ class BatchResult:
 _N_COLUMNS = len(fields(BatchResult)) - 1
 
 
+#: The per-row parameter arrays of a :class:`_Params` block.
+_PARAM_COLUMNS = (
+    "dmin", "d0", "v", "bits", "rho", "slope", "intercept", "logfit_mask"
+)
+
+
 class _Params:
-    """Stacked parameter arrays for one chunk of scenarios."""
+    """Stacked parameter arrays for a batch of scenarios.
+
+    ``scenarios`` is kept alongside the arrays only to raise a row's
+    validation error; :meth:`take` slices it with the arrays.
+    """
 
     def __init__(
         self, scenarios: "Union[Sequence[Scenario], ScenarioSweep]"
@@ -204,14 +217,42 @@ class _Params:
     def __len__(self) -> int:
         return len(self.dmin)
 
-    def take(self, rows: np.ndarray) -> "_Params":
-        """The rows ``rows`` (indices) as their own parameter block."""
-        sub = copy.copy(self)
-        sub.models = [self.models[i] for i in rows.tolist()]
-        for name in (
-            "dmin", "d0", "v", "bits", "rho", "slope", "intercept", "logfit_mask"
-        ):
-            setattr(sub, name, getattr(self, name)[rows])
+    def take(self, rows: Union[slice, np.ndarray]) -> "_Params":
+        """The rows ``rows`` as their own parameter block: a slice gives
+        views of this block's columns, an index array copies them."""
+        if isinstance(rows, slice):
+            scenarios, models = self.scenarios[rows], self.models[rows]
+        else:
+            index = rows.tolist()
+            models = [self.models[i] for i in index]
+            if isinstance(self.scenarios, ScenarioSweep):
+                scenarios = self.scenarios.take(rows)
+            else:
+                scenarios = [self.scenarios[i] for i in index]
+        return self._derive(scenarios, models, lambda c: c[rows])
+
+    def doubled(self) -> "_Params":
+        """This block stacked on itself: rows ``i`` and ``n + i`` are
+        both row ``i``, in one contiguous ``2n``-row block."""
+        return self._derive(
+            list(self.scenarios) * 2,
+            self.models * 2,
+            lambda c: np.concatenate((c, c)),
+        )
+
+    def _derive(
+        self,
+        scenarios: "Union[Sequence[Scenario], ScenarioSweep]",
+        models: list,
+        column: Callable[[np.ndarray], np.ndarray],
+    ) -> "_Params":
+        """A block of ``scenarios`` whose arrays are ``column`` of this
+        block's, without reading a scenario."""
+        sub = _Params.__new__(_Params)
+        sub.scenarios = scenarios
+        sub.models = models
+        for name in _PARAM_COLUMNS:
+            setattr(sub, name, column(getattr(self, name)))
         sub.other_rows = np.nonzero(~sub.logfit_mask)[0]
         return sub
 
@@ -356,24 +397,26 @@ class BatchSolverEngine:
         row = self._cache.get(key) if key is not None else None
         hit = row is not None
         if not hit:
-            row = tuple(self._solve_chunk([scenario])[0][:, 0].tolist())
+            row = tuple(self._solve_chunk(_Params([scenario]))[0][:, 0].tolist())
             if key is not None:
                 self._cache.put(key, row)
         return OptimalDecision(*row, tolerance_m=self._tolerance_m()), hit
 
     def solve_batch(
         self,
-        scenarios: Iterable["Scenario"],
+        scenarios: "Union[Iterable[Scenario], ScenarioSweep, _Params]",
         obs: Optional["ObsContext"] = None,
     ) -> BatchResult:
         """Solve N scenarios in serial vectorised passes of ``chunk_size``.
 
         ``scenarios`` may be a :class:`~repro.core.scenario.ScenarioSweep`,
-        which is solved without building its rows.  The memo is neither
-        read nor written.  ``obs`` records an ``engine.solve_batch`` span
-        plus batch-size metrics; ``None`` leaves the hot path untouched.
+        which is solved without building its rows, or an already-stacked
+        ``_Params`` block (module docstring, point 6).  The memo is
+        neither read nor written.  ``obs`` records an
+        ``engine.solve_batch`` span plus batch-size metrics; ``None``
+        leaves the hot path untouched.
         """
-        if not isinstance(scenarios, ScenarioSweep):
+        if not isinstance(scenarios, (ScenarioSweep, _Params)):
             scenarios = list(scenarios)
         if obs is not None and obs.tracer is not None:
             with obs.tracer.span("engine.solve_batch", n=len(scenarios)):
@@ -382,17 +425,19 @@ class BatchSolverEngine:
 
     def _solve_batch(
         self,
-        scenario_list: "Union[List[Scenario], ScenarioSweep]",
+        scenarios: "Union[List[Scenario], ScenarioSweep, _Params]",
         obs: Optional["ObsContext"],
     ) -> BatchResult:
-        n = len(scenario_list)
+        params = scenarios if isinstance(scenarios, _Params) else _Params(scenarios)
+        n = len(params)
         block = np.empty((_N_COLUMNS, n))
         rescan_rows = uncertified_rows = 0
         for start in range(0, n, self.chunk_size):
             stop = start + self.chunk_size
-            block[:, start:stop], rescans, uncertified = self._solve_chunk(
-                scenario_list[start:stop]
+            chunk = params if n <= self.chunk_size else params.take(
+                slice(start, stop)
             )
+            block[:, start:stop], rescans, uncertified = self._solve_chunk(chunk)
             rescan_rows += rescans
             uncertified_rows += uncertified
 
@@ -495,10 +540,8 @@ class BatchSolverEngine:
         """Resolution stamped on every decision this engine solves."""
         return max(self.refine_tolerance_m, 1e-6)
 
-    def _solve_chunk(
-        self, scenarios: Sequence["Scenario"]
-    ) -> Tuple[np.ndarray, int, int]:
-        """The Eq. 2 kernels over one chunk of scenarios.
+    def _solve_chunk(self, params: _Params) -> Tuple[np.ndarray, int, int]:
+        """The Eq. 2 kernels over one chunk's parameter block.
 
         Falling log-law rows take the exact
         :func:`~repro.core.optimizer.certified_argmax`; every row it
@@ -508,7 +551,6 @@ class BatchSolverEngine:
         order), how many rows took the grid kernel's non-concave rescan
         and how many took the grid kernel at all (uncertified rows).
         """
-        params = _Params(scenarios)
         params.validate()
         best = np.empty(len(params))
         grid = ~(params.logfit_mask & (params.slope < 0.0))

@@ -8,8 +8,7 @@ the replica-batched engine: one
 :class:`~repro.net.batchlink.BatchWirelessLink` steps a whole group of
 replica blocks (shards) per epoch in lockstep NumPy, one group per
 worker of the persistent process pool owned by :mod:`repro.exec`
-(*processes* because the epoch loop itself is Python; the batch
-solver's chunk fan-out uses the same backend's threads).  Each shard
+(*processes* because the epoch loop itself is Python).  Each shard
 keeps its own random streams inside the group, so results do not
 depend on the grouping.
 

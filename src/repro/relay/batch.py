@@ -6,15 +6,22 @@ bit-identical to the scalar path, and over a fleet it amortises the
 engine work by stacking every hop of every chain into shared
 vectorised passes.
 
+The fleet's hops are read once: :func:`~repro.relay.solver._stack_hops`
+walks the chains into one parameter block plus hand-off and hop-count
+arrays, and that block feeds both the Eq. 2 pass and the candidate
+table.
+
 Bit-lockstep is structural, not tuned-in:
 
 * every hop of every chain goes through one stacked
-  :meth:`~repro.engine.batch.BatchSolverEngine.solve_batch` call —
-  the engine's Eq. 2 kernel is row-local (own grid, refinement and
-  snapping per row), so each hop's answer equals its solo solve;
+  :meth:`~repro.engine.batch.BatchSolverEngine.solve_batch` call on
+  that block — the engine's Eq. 2 kernel is row-local (own grid,
+  refinement and snapping per row), so each hop's answer equals its
+  solo solve;
 * candidates and the DP are the same columnar
   :func:`~repro.relay.solver._solve_columns` the scalar solver runs
-  on one chain; its array DP is row-local per chain.
+  on one chain's block; the ``now``/``closest`` breakdown and the
+  array DP are row-local per hop and per chain.
 
 The result stays columnar: :class:`~repro.relay.solver.BatchRelayResult`
 builds its :class:`~repro.relay.solver.RelayDecision` objects on the
@@ -28,7 +35,12 @@ from typing import Iterable, List, Optional
 from ..engine.batch import BatchSolverEngine, default_engine
 from ..obs import ObsContext
 from .chain import RelayChain
-from .solver import BatchRelayResult, _record_relay_obs, _solve_columns
+from .solver import (
+    BatchRelayResult,
+    _record_relay_obs,
+    _solve_columns,
+    _stack_hops,
+)
 
 __all__ = ["BatchRelaySolver"]
 
@@ -66,6 +78,6 @@ class BatchRelaySolver:
         return result
 
     def _solve(self, chain_list: List[RelayChain]) -> BatchRelayResult:
-        scenarios = [hop.scenario for chain in chain_list for hop in chain.hops]
-        result = self.engine.solve_batch(scenarios)
-        return _solve_columns(self.engine, result, scenarios, chain_list)
+        stacked = _stack_hops(chain_list)
+        result = self.engine.solve_batch(stacked[0])
+        return _solve_columns(result, stacked, chain_list)

@@ -28,9 +28,11 @@ Bit-identity contracts (pinned by the property suite):
   dropped rather than re-derived, and a non-snapped engine optimum
   strictly dominates both boundaries by the engine's own snap margin;
 * candidates and the array DP are one columnar function,
-  :func:`_solve_columns`, which :class:`RelaySolver` calls on one chain
-  and :class:`~repro.relay.batch.BatchRelaySolver` on a whole fleet, so
-  scalar and batch paths stay in R=1 lockstep by construction.
+  :func:`_solve_columns`, over the hop parameter block
+  :func:`_stack_hops` builds; :class:`RelaySolver` calls both on one
+  chain and :class:`~repro.relay.batch.BatchRelaySolver` on a whole
+  fleet, so scalar and batch paths stay in R=1 lockstep by
+  construction.
 """
 
 from __future__ import annotations
@@ -41,7 +43,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..engine.batch import BatchResult, BatchSolverEngine, default_engine
+from ..engine.batch import (
+    BatchResult,
+    BatchSolverEngine,
+    _Params,
+    default_engine,
+)
 from ..obs import ObsContext, RunManifest
 from .chain import RelayChain
 
@@ -246,60 +253,63 @@ class BatchRelayResult:
         )
 
 
+def _stack_hops(
+    chains: Sequence[RelayChain],
+) -> Tuple[_Params, np.ndarray, np.ndarray]:
+    """Every hop of ``chains``, in order, as one parameter block, plus
+    the per-hop hand-offs and the per-chain hop counts."""
+    hops = [hop for chain in chains for hop in chain.hops]
+    params = _Params([hop.scenario for hop in hops])
+    handoff = np.array([hop.handoff_s for hop in hops], dtype=float)
+    counts = np.array([len(chain.hops) for chain in chains], dtype=np.intp)
+    return params, handoff, counts
+
+
 def _solve_columns(
-    engine: BatchSolverEngine,
     result: BatchResult,
-    scenarios: Sequence,
+    stacked: Tuple[_Params, np.ndarray, np.ndarray],
     chains: Sequence[RelayChain],
 ) -> BatchRelayResult:
-    """Pick one candidate per hop for every chain (``result`` solves
-    ``scenarios``, the hops of ``chains`` in order).
+    """Pick one candidate per hop for every chain (``stacked`` is
+    :func:`_stack_hops` of ``chains``, and ``result`` solves its block).
 
     The table holds distance, U, cdelay, shipping, transmission and
     discount per :data:`HOP_POLICIES` slot and hop: ``optimal`` is the
     engine columns verbatim; ``now`` (``d0``) and ``closest`` (``dmin``)
-    come from one elementwise ``breakdown_at`` call, so stacking rows
-    changes no bit.  A boundary at the engine optimum (a snapped
-    decision) is dropped: re-deriving it could differ in the last ulp
-    and steal the tie, so its cdelay and discount become slot 0's, a
-    twin the DP never picks.
+    come from one elementwise breakdown of the block stacked on itself
+    at ``[d0; dmin]``, so stacking rows changes no bit.  A boundary at
+    the engine optimum (a snapped decision) is dropped: re-deriving it
+    could differ in the last ulp and steal the tie, so its cdelay and
+    discount become slot 0's, a twin the DP never picks.
     """
-    n = len(scenarios)
-    dmin = [s.min_distance_m for s in scenarios]
-    bounds = np.concatenate((result.contact_distance_m, dmin))
-    at_bounds = engine.breakdown_at(list(scenarios) * 2, bounds)
+    params, handoff, counts = stacked
+    n = len(params)
+    bounds = np.concatenate((params.d0, params.dmin))
     table = np.concatenate(
         ((result.distance_m, result.utility, result.cdelay_s,
           result.shipping_s, result.transmission_s, result.discount),
-         (bounds, *at_bounds)),
+         (bounds, *params.doubled().breakdown(bounds))),
         axis=1,
     ).reshape(6, 3, n)
     np.copyto(table[2::3, 1:], table[2::3, :1], where=table[0, 1:] == table[0, :1])
-    offsets = [0]
-    groups: Dict[int, List[int]] = {}
-    for index, chain in enumerate(chains):
-        n_hops = len(chain.hops)
-        offsets.append(offsets[-1] + n_hops)
-        groups.setdefault(n_hops, []).append(index)
-    handoff = np.array(
-        [hop.handoff_s for chain in chains for hop in chain.hops], dtype=float
-    )
-    deadline = np.array(
-        [np.inf if c.deadline_s is None else c.deadline_s for c in chains]
-    )
-    first_hop = np.array(offsets[:-1], dtype=np.intp)
+    offsets = np.zeros(len(chains) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    # No deadline (``None``) arrives as NaN and means an infinite one.
+    deadline = np.array([chain.deadline_s for chain in chains], dtype=float)
+    deadline[np.isnan(deadline)] = np.inf
     policy = np.zeros(n, dtype=np.intp)
     survival, delay = np.empty((2, len(chains)))
     feasible = np.empty(len(chains), dtype=bool)
-    for n_hops, members in groups.items():
+    for n_hops in np.flatnonzero(np.bincount(counts)).tolist():
+        members = np.flatnonzero(counts == n_hops)
         for start in range(0, len(members), _DP_BLOCK):
-            ids = np.array(members[start:start + _DP_BLOCK], dtype=np.intp)
-            hops = first_hop[ids, None] + np.arange(n_hops)
+            ids = members[start:start + _DP_BLOCK]
+            hops = offsets[ids, None] + np.arange(n_hops)
             policy[hops], survival[ids], delay[ids], feasible[ids] = _frontier_dp(
                 table[5, :, hops], table[2, :, hops], handoff[hops], deadline[ids],
             )
     return BatchRelayResult(
-        chains, offsets, policy, table[:, policy, np.arange(n)],
+        chains, offsets.tolist(), policy, table[:, policy, np.arange(n)],
         survival, delay, feasible,
     )
 
@@ -406,11 +416,10 @@ class RelaySolver:
         return result[0]
 
     def _solve(self, chain: RelayChain) -> BatchRelayResult:
-        scenarios = chain.scenarios()
         result = BatchResult.from_decisions(
-            [self.engine.solve(scn) for scn in scenarios]
+            [self.engine.solve(scn) for scn in chain.scenarios()]
         )
-        return _solve_columns(self.engine, result, scenarios, [chain])
+        return _solve_columns(result, _stack_hops([chain]), [chain])
 
 
 def _record_relay_obs(obs: ObsContext, result: BatchRelayResult) -> None:

@@ -15,7 +15,12 @@ from repro.api import (
     sweep,
 )
 from repro.core.scenario import ScenarioSweep, sweep_rows
-from repro.core.throughput import TableThroughput
+from repro.core.throughput import (
+    LogFitThroughput,
+    SpeedScaledThroughput,
+    TableThroughput,
+)
+from repro.engine.batch import _Params
 from repro.obs import ObsContext
 
 from .scipy_reference import scalar_reference
@@ -527,29 +532,54 @@ def bypass(scenario, **fields):
     return clone
 
 
+def validation_cases():
+    """Batches with bad rows, and the error of the first offending one."""
+    ok = airplane_scenario()
+    bad_d0 = bypass(ok, contact_distance_m=12.5)
+    bad_d0_other = bypass(ok, contact_distance_m=7.0)
+    bad_bits = ok.with_(data_bits=0.0)
+    bad_speed = bypass(ok, cruise_speed_mps=-1.0)
+    return [
+        ([ok, bad_bits, ok, bad_bits], "data size must be positive"),
+        ([ok, bad_bits, bad_speed], "data size must be positive"),
+        ([bad_speed, bad_bits], "speed must be positive"),
+        ([ok, bad_d0, bad_d0_other], "contact distance 12.5 below the floor 20.0"),
+        ([bad_d0_other, bad_d0], "contact distance 7.0 below the floor 20.0"),
+        # Checks run in order within a row: speed, data, contact.
+        ([bypass(bad_bits, cruise_speed_mps=0.0)], "speed must be positive"),
+        ([bypass(bad_bits, contact_distance_m=3.0)], "data size must be positive"),
+    ]
+
+
 class TestValidationOrder:
     def test_first_offending_row_wins(self):
-        ok = airplane_scenario()
-        bad_d0 = bypass(ok, contact_distance_m=12.5)
-        bad_d0_other = bypass(ok, contact_distance_m=7.0)
-        bad_bits = ok.with_(data_bits=0.0)
-        bad_speed = bypass(ok, cruise_speed_mps=-1.0)
-        cases = [
-            ([ok, bad_bits, ok, bad_bits], "data size must be positive"),
-            ([ok, bad_bits, bad_speed], "data size must be positive"),
-            ([bad_speed, bad_bits], "speed must be positive"),
-            ([ok, bad_d0, bad_d0_other], "contact distance 12.5 below the floor 20.0"),
-            ([bad_d0_other, bad_d0], "contact distance 7.0 below the floor 20.0"),
-            # Checks run in order within a row: speed, data, contact.
-            ([bypass(bad_bits, cruise_speed_mps=0.0)], "speed must be positive"),
-            ([bypass(bad_bits, contact_distance_m=3.0)], "data size must be positive"),
-        ]
         for chunk_size in (1, 2, 2048):
-            for batch, message in cases:
+            for batch, message in validation_cases():
                 with pytest.raises(ValueError, match=message):
                     fresh_engine(chunk_size=chunk_size).solve_batch(batch)
         with pytest.raises(ValueError, match="data size must be positive"):
-            fresh_engine().solve(bad_bits)
+            fresh_engine().solve(airplane_scenario().with_(data_bits=0.0))
+
+    def test_block_input_names_the_same_row(self):
+        # Each chunk's row view carries its own rows' scenarios.
+        for chunk_size in (1, 2, 2048):
+            for batch, message in validation_cases():
+                with pytest.raises(ValueError, match=message):
+                    fresh_engine(chunk_size=chunk_size).solve_batch(_Params(batch))
+
+    def test_taken_rows_validate_their_own_scenarios(self):
+        ok = airplane_scenario()
+        bad = bypass(ok, cruise_speed_mps=-1.0)
+        params = _Params([ok, bad])
+        with pytest.raises(ValueError, match="speed must be positive"):
+            params.take(np.array([1])).validate()
+        with pytest.raises(ValueError, match="speed must be positive"):
+            params.take(slice(1, 2)).validate()
+        params.take(np.array([0])).validate()
+        params.take(slice(0, 1)).validate()
+        swept = _Params(ScenarioSweep(ok, "speed_mps", [3.0, 5.0, 7.0]))
+        taken = swept.take(np.array([2, 0])).scenarios
+        assert [s.cruise_speed_mps for s in taken] == [7.0, 3.0]
 
     def test_failed_batch_memoises_nothing(self):
         engine = fresh_engine()
@@ -591,6 +621,62 @@ class TestValidationOrder:
         scenario = bypass(airplane_scenario(), **{self.ATTRS[field]: value})
         with pytest.raises(ValueError):
             fresh_engine().solve_batch([scenario])
+
+
+def mixed_law_fleet():
+    """Falling and rising log-law, table and speed-scaled rows,
+    interleaved so every chunk size mixes exact and grid rows."""
+    laws = [
+        None,
+        LogFitThroughput(2.0, 10.0),
+        TableThroughput({20.0: 36e6, 40.0: 35e6, 60.0: 33e6, 100.0: 17.8e6}),
+        SpeedScaledThroughput(LogFitThroughput(-10.5, 73.0)),
+    ]
+    fleet = []
+    for i in range(48):
+        factory = (airplane_scenario, quadrocopter_scenario)[i % 2]
+        scenario = factory(
+            mdata_mb=1.0 + 7.0 * (i % 9),
+            speed_mps=3.0 + (5 * i) % 20,
+            rho_per_m=1e-4 * (1 + (7 * i) % 40),
+            d0_m=40.0 + 13.0 * (i % 19),
+        )
+        law = laws[(i // 2) % len(laws)]
+        fleet.append(scenario if law is None else scenario.with_(throughput=law))
+    return fleet
+
+
+class TestBlockInput:
+    @pytest.mark.parametrize("chunk_size", [1, 7, 2048, None])
+    def test_block_equals_list_bitwise(self, chunk_size):
+        fleet = mixed_law_fleet()
+        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
+        params = _Params(fleet)
+        assert params.other_rows.size  # table and speed-scaled rows
+        from_list = fresh_engine(**kwargs).solve_batch(fleet)
+        from_block = fresh_engine(**kwargs).solve_batch(params)
+        assert_bitwise_equal(from_block, from_list)
+        # The block is read, not consumed: a second solve agrees.
+        assert_bitwise_equal(fresh_engine(**kwargs).solve_batch(params), from_list)
+
+    def test_empty_block(self):
+        result = fresh_engine().solve_batch(_Params([]))
+        assert len(result) == 0 and result.tolerance_m == 1e-6
+
+    def test_doubled_block_repeats_every_row(self):
+        params = _Params(mixed_law_fleet())
+        n = len(params)
+        twice = params.doubled()
+        assert len(twice) == 2 * n
+        np.testing.assert_array_equal(
+            twice.other_rows, np.nonzero(~twice.logfit_mask)[0]
+        )
+        d = np.concatenate((params.d0, params.dmin))
+        engine = fresh_engine()
+        for got, want in zip(
+            twice.breakdown(d), engine.breakdown_at(list(params.scenarios) * 2, d)
+        ):
+            assert got.tobytes() == want.tobytes()
 
 
 #: Sweep values per sweepable field and alias; value 3 repeats value 1.

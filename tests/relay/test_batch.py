@@ -1,11 +1,21 @@
 """The batch relay solver: R=1 lockstep and fleet agreement."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.core import airplane_scenario, quadrocopter_scenario
-from repro.engine.batch import BatchSolverEngine
+from repro.core.throughput import (
+    LogFitThroughput,
+    SpeedScaledThroughput,
+    TableThroughput,
+)
+from repro.engine.batch import BatchSolverEngine, _Params
 from repro.relay import BatchRelaySolver, RelayChain, RelaySolver
+from repro.relay.solver import _DP_BLOCK
+
+from .reference_dp import _dp_select, _hop_candidates
 
 
 def _chain_fleet():
@@ -156,3 +166,116 @@ class TestLazyDecisions:
             assert hashlib.sha256(events.encode()).hexdigest() == (
                 "ab9efe9d30e7a09d59007e261e9e6ff241edff8ac5200770e074663555934acd"
             )
+
+
+# ----------------------------------------------------------------------
+# One stacked hop block per fleet
+# ----------------------------------------------------------------------
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _assert_matches_scalar_and_reference(fleet):
+    """Batch equals the scalar solver chain by chain, bit for bit, and
+    both match the per-chain reference DP."""
+    engine = BatchSolverEngine()
+    result = BatchRelaySolver(BatchSolverEngine()).solve(fleet)
+    assert len(result) == len(fleet)
+    scalar = RelaySolver(engine)
+    for chain, decision in zip(fleet, result):
+        assert decision == scalar.solve(chain)
+        scenarios = chain.scenarios()
+        rows = _hop_candidates(
+            engine, scenarios, [engine.solve(s) for s in scenarios]
+        )
+        path, survival, delay, feasible = _dp_select(
+            rows, [hop.handoff_s for hop in chain.hops], chain.deadline_s
+        )
+        assert decision.policies == tuple(
+            rows[i][k][0] for i, k in enumerate(path)
+        )
+        assert _bits(decision.survival) == _bits(survival)
+        assert _bits(decision.delay_s) == _bits(delay)
+        assert decision.meets_deadline == feasible
+
+
+def _hop(i, h, law=None):
+    base = (quadrocopter_scenario, airplane_scenario)[(i + h) % 2](
+        rho_per_m=1e-4 * (1 + (7 * i + h) % 40),
+        speed_mps=3.0 + (5 * i + 3 * h) % 20,
+        d0_m=40.0 + (11 * i + 29 * h) % 250,
+    )
+    return base if law is None else base.with_(throughput=law)
+
+
+def _fleet(n, hops_of, law_of=lambda i, h: None, deadline_of=lambda i: None):
+    return [
+        RelayChain.of(
+            [_hop(i, h, law_of(i, h)) for h in range(hops_of(i))],
+            handoff_s=float(i % 5),
+            mdata_mb=2.0 + i % 30,
+            deadline_s=deadline_of(i),
+            name=f"c{i}",
+        )
+        for i in range(n)
+    ]
+
+
+GRID_LAWS = (
+    TableThroughput({20.0: 36e6, 40.0: 35e6, 60.0: 33e6, 100.0: 17.8e6}),
+    SpeedScaledThroughput(LogFitThroughput(-10.5, 73.0)),
+    LogFitThroughput(2.0, 10.0),
+)
+
+
+class TestStackedHops:
+    def test_one_block_and_no_breakdown_at(self, monkeypatch):
+        built = []
+        init = _Params.__init__
+
+        def counting_init(self, scenarios):
+            built.append(len(scenarios))
+            init(self, scenarios)
+
+        def no_breakdown_at(*args, **kwargs):
+            raise AssertionError("breakdown_at called")
+
+        monkeypatch.setattr(_Params, "__init__", counting_init)
+        monkeypatch.setattr(BatchSolverEngine, "breakdown_at", no_breakdown_at)
+        chains = _chain_fleet()
+        BatchRelaySolver(BatchSolverEngine()).solve(chains)
+        assert built == [sum(c.n_hops for c in chains)]
+
+    def test_empty_fleet(self):
+        result = BatchRelaySolver(BatchSolverEngine()).solve([])
+        assert len(result) == 0
+        assert result.utility.shape == (0,)
+        assert result.to_dicts() == []
+
+    def test_single_hop_count(self):
+        _assert_matches_scalar_and_reference(_fleet(40, lambda i: 2))
+
+    def test_two_dp_blocks_of_one_hop_count(self):
+        # More chains of one hop count than one DP block holds.
+        fleet = _fleet(
+            _DP_BLOCK + 37, lambda i: 1,
+            deadline_of=lambda i: None if i % 4 else 5.0 + i % 60,
+        )
+        _assert_matches_scalar_and_reference(fleet)
+
+    def test_table_and_speed_scaled_hops(self):
+        fleet = _fleet(
+            36, lambda i: 1 + i % 3,
+            law_of=lambda i, h: (None, *GRID_LAWS)[(i + 2 * h) % 4],
+        )
+        _assert_matches_scalar_and_reference(fleet)
+
+    def test_deadlines(self):
+        fleet = _fleet(
+            60, lambda i: 1 + i % 4,
+            deadline_of=lambda i: None if i % 3 == 0 else 20.0 + 15.0 * (i % 17),
+        )
+        result = BatchRelaySolver(BatchSolverEngine()).solve(fleet)
+        assert 0 < int(np.count_nonzero(result.meets_deadline)) < len(fleet)
+        _assert_matches_scalar_and_reference(fleet)

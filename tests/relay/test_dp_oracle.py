@@ -21,7 +21,12 @@ from hypothesis import strategies as st
 from repro.core import airplane_scenario, quadrocopter_scenario
 from repro.engine.batch import BatchResult, BatchSolverEngine
 from repro.relay import BatchRelaySolver, RelayChain, RelaySolver
-from repro.relay.solver import HOP_POLICIES, _frontier_dp, _solve_columns
+from repro.relay.solver import (
+    HOP_POLICIES,
+    _frontier_dp,
+    _solve_columns,
+    _stack_hops,
+)
 
 from . import reference_dp
 from .reference_dp import _dp_select, _hop_candidates
@@ -181,7 +186,7 @@ class TestSolverAgainstReference:
         result = BatchResult.from_decisions([dataclasses.replace(
             snapped, cdelay_s=cdelay, utility=snapped.discount / cdelay,
         )])
-        decision = _solve_columns(engine, result, scenarios, [chain])[0]
+        decision = _solve_columns(result, _stack_hops([chain]), [chain])[0]
         assert decision.policies == ("optimal",)
         assert decision.delay_s == cdelay
 
